@@ -27,10 +27,8 @@ import csv
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
-from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class GeneratorIndex(IntEnum):
@@ -87,9 +85,6 @@ class StructureConstants:
     def __post_init__(self):
         assert self.dense.shape == (15, 15, 15)
         self.dense.flags.writeable = False
-
-    def f(self, a: int, b: int, c: int) -> Fraction:
-        return Fraction(int(self.dense[a, b, c]))
 
     def rows(self, both_orders: bool = False):
         """Nonzero entries as (a, b, c, f) ordinal tuples, lexicographic.
@@ -207,9 +202,10 @@ def exp_ad(x, t: float = 1.0, table: StructureConstants | None = None) -> np.nda
     """Matrix exponential exp(t * sum_a x_a F_a).
 
     This is the oracle every closed-form group matrix in the package is
-    checked against; it is computed by scaling-and-squaring Pade (scipy) and
-    shares no code with the closed forms.
+    checked against; it is computed by scaling-and-squaring Pade (scipy,
+    imported here alone) and shares no code with the closed forms.
     """
+    from scipy.linalg import expm
     return expm(float(t) * adjoint_of(x, table))
 
 

@@ -270,7 +270,7 @@ def main(argv=None) -> int:
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNREACHABLE
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
 

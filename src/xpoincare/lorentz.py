@@ -15,6 +15,8 @@ L(u) e0 = (u0, -u) and R((0,0,pi/2)) has R^1_2 = +1, R^2_1 = -1.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .algebra import ETA, EPS3
@@ -27,8 +29,8 @@ class DecompositionError(ValueError):
 # --- analytic scalar coefficients -----------------------------------------
 # c(q), s(q), h(q) are cos/ sinc/ versine-like functions of the signed
 # squared angle q: trig for q < 0, hyperbolic for q > 0, entire in q.
-# Series taken below |q| = 1e-3 so that h avoids the (c-1)/q cancellation;
-# truncation error there is < 1e-18.
+# Series taken below |q| = 1e-3, which covers r = sqrt|q| -> 0; truncation
+# error there is < 1e-18.  Above it h uses the half-angle form.
 
 _SERIES_WINDOW = 1e-3
 
@@ -36,21 +38,21 @@ _SERIES_WINDOW = 1e-3
 def trig_c(q: float) -> float:
     if abs(q) < _SERIES_WINDOW:
         return 1.0 + q * (1 / 2 + q * (1 / 24 + q * (1 / 720 + q / 40320)))
-    r = np.sqrt(abs(q))
-    return float(np.cosh(r) if q > 0 else np.cos(r))
+    r = math.sqrt(abs(q))
+    return math.cosh(r) if q > 0 else math.cos(r)
 
 
 def trig_s(q: float) -> float:
     if abs(q) < _SERIES_WINDOW:
         return 1.0 + q * (1 / 6 + q * (1 / 120 + q * (1 / 5040 + q / 362880)))
-    r = np.sqrt(abs(q))
-    return float(np.sinh(r) / r if q > 0 else np.sin(r) / r)
+    r = math.sqrt(abs(q))
+    return (math.sinh(r) if q > 0 else math.sin(r)) / r
 
 
 def trig_h(q: float) -> float:
     if abs(q) < _SERIES_WINDOW:
         return 0.5 + q * (1 / 24 + q * (1 / 720 + q * (1 / 40320 + q / 3628800)))
-    return (trig_c(q) - 1.0) / q
+    return 0.5 * trig_s(0.25 * q) ** 2  # = (c - 1) / q without cancellation
 
 
 # --- generators ------------------------------------------------------------
@@ -69,9 +71,6 @@ def boost_generators() -> np.ndarray:
         g[m, 0, 1 + m] = -1.0
         g[m, 1 + m, 0] = -1.0
     return g
-
-
-_JGEN = rotation_generators()
 
 
 # --- basic maps ------------------------------------------------------------
@@ -99,16 +98,18 @@ def velocity_of_rapidity(beta) -> np.ndarray:
 
 
 def rotation_matrix(theta) -> np.ndarray:
-    """4x4 rotation exp(theta . J); time row and column untouched."""
-    theta = np.asarray(theta, dtype=float)
-    a = np.einsum("m,mjk->jk", theta, _JGEN)
-    q = -float(theta @ theta)
-    return np.eye(4) + trig_s(q) * a + trig_h(q) * (a @ a)
-
-
-def rotation3(theta) -> np.ndarray:
-    """Spatial 3x3 block of rotation_matrix."""
-    return rotation_matrix(theta)[1:, 1:]
+    """4x4 rotation exp(theta . J); time row and column untouched.  Written
+    entry by entry from R = 1 + s a + h a^2, a = theta . J."""
+    x, y, z = np.asarray(theta, dtype=float).tolist()
+    xx, yy, zz = x * x, y * y, z * z
+    q = -(xx + yy + zz)
+    s, h = trig_s(q), trig_h(q)
+    sx, sy, sz = s * x, s * y, s * z
+    hxy, hxz, hyz = h * x * y, h * x * z, h * y * z
+    return np.array([1.0, 0.0, 0.0, 0.0,
+                     0.0, 1.0 - h * (yy + zz), hxy + sz, hxz - sy,
+                     0.0, hxy - sz, 1.0 - h * (xx + zz), hyz + sx,
+                     0.0, hxz + sy, hyz - sx, 1.0 - h * (xx + yy)]).reshape(4, 4)
 
 
 def boost_matrix(u) -> np.ndarray:
@@ -116,14 +117,14 @@ def boost_matrix(u) -> np.ndarray:
 
     Symmetric; L^0_0 = u0 and L e0 = (u0, -u).
     """
-    u = np.asarray(u, dtype=float)
-    u0 = u0_of(u)
-    L = np.eye(4)
-    L[0, 0] = u0
-    L[0, 1:] = -u
-    L[1:, 0] = -u
-    L[1:, 1:] += np.outer(u, u) / (1.0 + u0)
-    return L
+    x, y, z = np.asarray(u, dtype=float).tolist()
+    u0 = math.sqrt(1.0 + (x * x + y * y + z * z))
+    k = 1.0 / (1.0 + u0)
+    kxy, kxz, kyz = k * x * y, k * x * z, k * y * z
+    return np.array([u0, -x, -y, -z,
+                     -x, 1.0 + k * x * x, kxy, kxz,
+                     -y, kxy, 1.0 + k * y * y, kyz,
+                     -z, kxz, kyz, 1.0 + k * z * z]).reshape(4, 4)
 
 
 def lorentz_matrix(u, theta) -> np.ndarray:
@@ -141,7 +142,7 @@ def lorentz_inverse_params(u, theta):
     """Parameters of the inverse element: (-R3(-theta) u, -theta)."""
     u = np.asarray(u, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return -(rotation3(-theta) @ u), -theta
+    return -(rotation_matrix(-theta)[1:, 1:] @ u), -theta
 
 
 # --- parameter recovery -----------------------------------------------------
@@ -169,13 +170,14 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     c = (np.trace(R3) - 1.0) / 2.0
     s = float(np.linalg.norm(w))
     phi = float(np.arctan2(s, c))
-    if s >= 1e-4 or phi < 2.0:
+    # the sine branch divides the rounding of w by s; below s = 0.5 on the
+    # far side (c < 0) the symmetric part gives the better-conditioned axis
+    if c > 0 or s >= 0.5:
         return w / trig_s(-phi * phi)
     # near pi: axis^2 from the symmetric part, sign from w when resolvable
     nn = ((R3 + R3.T) / 2.0 - c * np.eye(3)) / (1.0 - c)
     i = int(np.argmax(np.diag(nn)))
-    ax = nn[:, i] / np.sqrt(max(nn[i, i], 1e-300))
-    ax = ax / np.linalg.norm(ax)
+    ax = nn[:, i] / np.linalg.norm(nn[:, i])
     d = float(w @ ax)
     if abs(d) > 1e-13:
         ax = ax * np.sign(d)

@@ -33,8 +33,8 @@ import numpy as np
 
 from .algebra import EPS3, ETA, STRUCTURE_CONSTANTS
 from .lorentz import rapidity
-from .xlorentz import (BFORM, XLParams, dirac_boost_mat5, embed_lorentz5,
-                       xl_compose, xl_decompose, xl_inverse, xl_matrix)
+from .xlorentz import (BFORM, XLParams, _xl_factors, _xl_inverse,
+                       xl_decompose, xl_matrix)
 
 PARAM_NAMES = (
     "theta1", "theta2", "theta3", "u1", "u2", "u3",
@@ -55,7 +55,7 @@ class GroupParams:
         a = np.asarray(self.a, dtype=float).copy()
         if a.shape != (4,):
             raise ValueError(f"a must have shape (4,), got {a.shape}")
-        if not (np.all(np.isfinite(a)) and np.isfinite(self.alpha)):
+        if not (np.isfinite(a).all() and np.isfinite(self.alpha)):
             raise ValueError("parameters must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
@@ -102,6 +102,10 @@ class AffineRep:
         object.__setattr__(self, "t", t)
 
 
+def _translation(g: GroupParams) -> np.ndarray:
+    return np.array([*g.a.tolist(), g.alpha])
+
+
 def translation_action(xl: XLParams) -> np.ndarray:
     """Action of the extended-Lorentz part on translation parameters: B D B."""
     return BFORM @ xl_matrix(xl) @ BFORM
@@ -122,22 +126,19 @@ def from_affine(rep: AffineRep) -> GroupParams:
 def compose(g2: GroupParams, g1: GroupParams) -> GroupParams:
     """Canonical parameters of the product g2 g1.
 
-    Translation sector by the closed formulas: with Pi the product of the
-    single-argument factors R(-theta2) L(-u2) W(-omega2) (equal to the inverse
-    of the extended-Lorentz 5x5 of g2),
+    D2 and D1, the extended-Lorentz 5x5 matrices of g2 and g1, are built once
+    each.  Translation sector by the closed formulas, with Pi = D2^-1 = B D2^T B:
 
-        alpha = alpha2 + alpha1 W(-omega2)[Gs,Gs] + a1^n Pi[P_n, Gs]
-        a^m   = a2^m   + alpha1 W(-omega2)[Gs,P_m] + a1^n Pi[P_n, P_m]
+        alpha = alpha2 + alpha1 Pi[Gs,Gs] + a1^n Pi[P_n, Gs]
+        a^m   = a2^m   + alpha1 Pi[Gs,P_m] + a1^n Pi[P_n, P_m],
 
-    The extended-Lorentz sector delegates to xl_compose, which fails (and this
-    function with it) when the product leaves the factorizable set.
+    that is t = t2 + B D2 B t1 on t = (a, alpha).  The extended-Lorentz sector
+    is xl_decompose(D2 D1), which fails (and this function with it) when the
+    product leaves the factorizable set.
     """
-    w_inv = dirac_boost_mat5(-g2.xl.omega)
-    pi = (embed_lorentz5(np.zeros(3), -g2.xl.theta)
-          @ embed_lorentz5(-g2.xl.u, np.zeros(3)) @ w_inv)
-    alpha = g2.alpha + g1.alpha * w_inv[4, 4] + g1.a @ pi[:4, 4]
-    a = g2.a + g1.alpha * w_inv[4, :4] + g1.a @ pi[:4, :4]
-    return GroupParams(alpha=float(alpha), a=a, xl=xl_compose(g2.xl, g1.xl))
+    d2, d1 = xl_matrix(g2.xl), xl_matrix(g1.xl)
+    t = _translation(g2) + BFORM @ (d2 @ (BFORM @ _translation(g1)))
+    return GroupParams(alpha=float(t[4]), a=t[:4], xl=xl_decompose(d2 @ d1))
 
 
 def compose_via_affine(g2: GroupParams, g1: GroupParams) -> GroupParams:
@@ -149,13 +150,12 @@ def compose_via_affine(g2: GroupParams, g1: GroupParams) -> GroupParams:
 def inverse(g: GroupParams) -> GroupParams:
     """Closed-form inverse.
 
-    Extended-Lorentz part from xl_inverse; the translation 5-vector is
-    t' = -D(g)^T t, the closed form of -T(g)^{-1} t.
+    Extended-Lorentz part as in xl_inverse and translation 5-vector
+    t' = -D(g)^T t (the closed form of -T(g)^{-1} t), from one build of D.
     """
-    d = xl_matrix(g.xl)
-    t = np.concatenate([g.a, [g.alpha]])
-    t_inv = -(d.T @ t)
-    return GroupParams(alpha=float(t_inv[4]), a=t_inv[:4], xl=xl_inverse(g.xl))
+    d, lam = _xl_factors(g.xl)
+    t_inv = -(d.T @ _translation(g))
+    return GroupParams(alpha=float(t_inv[4]), a=t_inv[:4], xl=_xl_inverse(g.xl, lam))
 
 
 # --- fundamental representation ----------------------------------------------
@@ -165,13 +165,14 @@ def inverse(g: GroupParams) -> GroupParams:
 # disjoint supports (Frobenius-orthogonal, squared norm 2), so the 10x10
 # sector of the representation is read off exactly by expanding D^{-1} G_A D
 # as coefficients 0.5 <G_B, .>.
-_G5 = [STRUCTURE_CONSTANTS.dense[a][10:, 10:].astype(float) for a in range(10)]
-_G5_DUAL = 0.5 * np.stack([g.ravel() for g in _G5], axis=0)
+_F = STRUCTURE_CONSTANTS.dense.astype(float)
+_G5 = _F[:10, 10:, 10:]
+_G5_DUAL = 0.5 * _G5.reshape(10, 25)
 
 
 def _xl_adjoint10(d5: np.ndarray) -> np.ndarray:
     d_inv = BFORM @ d5.T @ BFORM
-    return np.array([_G5_DUAL @ (d_inv @ g @ d5).ravel() for g in _G5])
+    return (d_inv @ _G5 @ d5).reshape(10, 25) @ _G5_DUAL.T
 
 
 def oplus(g: GroupParams) -> np.ndarray:
@@ -185,9 +186,7 @@ def oplus(g: GroupParams) -> np.ndarray:
     entry(Gam^m, P_b) = alpha eta^{mb} and entry(Gam^m, Gs) = a^m, its J and
     K rows the orbital couplings into the P columns.
     """
-    fd = STRUCTURE_CONSTANTS.dense
-    tfac = np.eye(15) + g.alpha * fd[14] + np.einsum("m,mrs->rs", g.a,
-                                                     fd[10:14].astype(float))
+    tfac = np.eye(15) + (_translation(g) @ _F[10:].reshape(5, 225)).reshape(15, 15)
     d5 = xl_matrix(g.xl)
     xlo = np.zeros((15, 15))
     xlo[:10, :10] = _xl_adjoint10(d5)
@@ -252,11 +251,8 @@ def theta_closed(g: GroupParams) -> np.ndarray:
     t[6:10, 14] = g.a                                 # omega_m row, alpha col: a^m
     t[10:14, 10:14] = np.eye(4)                       # a^b row, a^m col: delta
     t[6:10, 10:14] = g.alpha * ETA                    # omega_b row, a^m col: alpha eta^{mb}
-    for j in range(3):
-        t[3 + j, 10] = g.a[1 + j]                     # u^j row, a^0 col: a^j
-        t[3 + j, 11 + j] += g.a[0]                    # u^j row, a^j col: a^0
-        for k in range(3):
-            # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
-            t[j, 11 + k] = sum(
-                EPS3[j, k, m] * g.a[1 + m] for m in range(3))
+    t[3:6, 10] = g.a[1:]                              # u^j row, a^0 col: a^j
+    t[[3, 4, 5], [11, 12, 13]] = g.a[0]               # u^j row, a^j col: a^0
+    # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
+    t[0:3, 11:14] = EPS3 @ g.a[1:]
     return t

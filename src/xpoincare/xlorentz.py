@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA
-from .lorentz import (DecompositionError, lorentz_decompose,
-                      lorentz_inverse_params, lorentz_matrix, trig_h, trig_s)
+from .lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
+                      trig_h, trig_s)
 
 BFORM = np.zeros((5, 5))
 BFORM[:4, :4] = -ETA
@@ -64,10 +64,17 @@ def dirac_generator5(omega) -> np.ndarray:
 
 
 def dirac_boost_mat5(omega) -> np.ndarray:
-    """Closed-form Dirac boost W(omega) = exp(dirac_generator5(omega))."""
-    g = dirac_generator5(omega)
-    q = omega_square(omega)
-    return np.eye(5) + trig_s(q) * g + trig_h(q) * (g @ g)
+    """Closed-form Dirac boost W(omega) = exp(g), g = dirac_generator5(omega),
+    written entry by entry from W = 1 + s g + h g^2."""
+    w0, w1, w2, w3 = np.asarray(omega, dtype=float).tolist()
+    q = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
+    s, h = trig_s(q), trig_h(q)
+    h0, h1, h2, h3 = h * w0, h * w1, h * w2, h * w3
+    return np.array([1.0 - h0 * w0, h0 * w1, h0 * w2, h0 * w3, -s * w0,
+                     -h1 * w0, 1.0 + h1 * w1, h1 * w2, h1 * w3, -s * w1,
+                     -h2 * w0, h2 * w1, 1.0 + h2 * w2, h2 * w3, -s * w2,
+                     -h3 * w0, h3 * w1, h3 * w2, 1.0 + h3 * w3, -s * w3,
+                     s * w0, -s * w1, -s * w2, -s * w3, 1.0 + h * q]).reshape(5, 5)
 
 
 def embed_lorentz5(u, theta) -> np.ndarray:
@@ -90,7 +97,7 @@ class XLParams:
             v = np.asarray(getattr(self, name), dtype=float).copy()
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError(f"{name} must be finite")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -100,22 +107,23 @@ class XLParams:
         return cls()
 
 
+def _xl_factors(p: XLParams) -> tuple[np.ndarray, np.ndarray]:
+    """D = W(omega) diag(Lambda, 1) and Lambda = L(u) R(theta), each built once."""
+    lam = lorentz_matrix(p.u, p.theta)
+    d = dirac_boost_mat5(p.omega)
+    d[:, :4] = d[:, :4] @ lam
+    return d, lam
+
+
 def xl_matrix(p: XLParams) -> np.ndarray:
     """5x5 matrix W(omega) L(u) R(theta)."""
-    return dirac_boost_mat5(p.omega) @ embed_lorentz5(p.u, p.theta)
+    return _xl_factors(p)[0]
 
 
 def b_residual(M) -> float:
     """max |M^T B M - B|."""
     M = np.asarray(M, dtype=float)
     return float(np.abs(M.T @ BFORM @ M - BFORM).max())
-
-
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(v) > 1e-9)[0]
-    if len(nz) and v[nz[0]] < 0:
-        return -v
-    return v
 
 
 def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
@@ -140,13 +148,9 @@ def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
         phi = float(np.arctan2(sphi, c))
         if sphi >= 1e-4 or phi < 2.0:
             return -vP / trig_s(-phi * phi)
-        d = -vP
-        qd = float(d @ (ETA @ d))
-        if sphi > 1e-12 and qd < 0.0:
-            w = phi * d / np.sqrt(-qd)
-        else:
-            w = _canonical_sign(phi * np.array([1.0, 0.0, 0.0, 0.0]))
-        return w
+        if sphi > 1e-12:
+            return -phi * vP / sphi
+        return np.array([phi, 0.0, 0.0, 0.0])
     # |q| ~ 0: s ~ 1, one self-consistency refinement of q = qv / s(q)^2
     q = qv / trig_s(qv) ** 2
     return -vP / trig_s(q)
@@ -187,11 +191,12 @@ def xl_compose(p2: XLParams, p1: XLParams) -> XLParams:
 def xl_inverse(p: XLParams) -> XLParams:
     """Closed-form parameters of the inverse element.
 
-    theta' = -theta, u' = -R3(-theta) u, and omega transforms as a covector
-    under the Lorentz part: omega' = -Lambda(u, theta)^{-1} omega (column
-    action), so that W(omega') = E^{-1} W(-omega) E.
+    theta' = -theta, u' = -R3(-theta) u = Lambda[0, 1:] for Lambda = L R, and
+    omega transforms as a covector under the Lorentz part: omega' =
+    -Lambda^{-1} omega = -eta Lambda^T eta omega, so W(omega') = E^{-1} W(-omega) E.
     """
-    lam = lorentz_matrix(p.u, p.theta)
-    u_inv, theta_inv = lorentz_inverse_params(p.u, p.theta)
-    omega_inv = -np.linalg.solve(lam, p.omega)
-    return XLParams(omega_inv, u_inv, theta_inv)
+    return _xl_inverse(p, lorentz_matrix(p.u, p.theta))
+
+
+def _xl_inverse(p: XLParams, lam: np.ndarray) -> XLParams:
+    return XLParams(-(ETA @ (lam.T @ (ETA @ p.omega))), lam[0, 1:], -p.theta)

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +111,12 @@ def test_ad_matrix_j3_rotates_pairs():
     for i, j in [(G.J1, G.J2), (G.K1, G.K2), (G.GAM1, G.GAM2), (G.P1, G.P2)]:
         mask[i, j] = mask[j, i] = True
     assert np.abs(F[~mask]).max() == 0
+
+
+def test_package_import_does_not_load_scipy():
+    # scipy serves only the exp_ad oracle and is imported inside it
+    code = "import sys, xpoincare.cli; assert 'scipy' not in sys.modules"
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 def test_exp_ad_of_zero_is_identity():

@@ -89,6 +89,14 @@ def test_parse_error_exit_code(tmp_path):
     assert r.returncode == 2
 
 
+def test_overflowing_element_exit_code(tmp_path):
+    # cosh(1000) overflows float64: an error, not a matrix of non-finite entries
+    big = write_json(tmp_path / "big.json", {"omega": [0, 1000, 0, 0]})
+    for command in ("oplus", "invert"):
+        r = run_cli([command, big])
+        assert r.returncode == 2 and "error" in r.stderr
+
+
 def test_oplus_command(tmp_path):
     z = write_json(tmp_path / "z.json", {})
     r = run_cli(["oplus", z])

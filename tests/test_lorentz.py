@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import ETA
-from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
-                               boost_generators, boost_matrix,
-                               lorentz_decompose, lorentz_inverse_params,
-                               lorentz_matrix, metric_residual, rapidity,
-                               rotation_generators, rotation_matrix, u0_of,
+from xpoincare.lorentz import (_SERIES_WINDOW, DecompositionError,
+                               axis_angle_of_rotation3, boost_generators,
+                               boost_matrix, lorentz_decompose,
+                               lorentz_inverse_params, lorentz_matrix,
+                               metric_residual, rapidity, rotation_generators,
+                               rotation_matrix, trig_c, trig_h, trig_s, u0_of,
                                velocity_of_rapidity)
 
 coords = st.floats(-1.5, 1.5, allow_nan=False)
@@ -21,6 +22,39 @@ def random_theta(rng, angle=None):
     ax = rng.normal(size=3)
     ax /= np.linalg.norm(ax)
     return ax * (rng.uniform(0, math.pi) if angle is None else angle)
+
+
+def _ulps_around(x, k=3):
+    """x and the k floats on each side of it."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [float(lo), float(hi)]
+    return out
+
+
+def test_trig_coefficients_match_mpmath():
+    mp = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    qs = _ulps_around(_SERIES_WINDOW) + _ulps_around(-_SERIES_WINDOW)
+    qs += [sign * x for x in (1e-2, 1.0, 10.0) for sign in (1.0, -1.0)]
+
+    def exact(name, q):
+        r = mp.sqrt(abs(q))
+        c = mp.cosh(r) if q > 0 else mp.cos(r)
+        return {"c": c, "s": (mp.sinh(r) if q > 0 else mp.sin(r)) / r,
+                "h": (c - 1) / q}[name]
+
+    with mp.workdps(40):
+        for name, fn in (("c", trig_c), ("s", trig_s), ("h", trig_h)):
+            for q in qs:
+                ref = exact(name, mp.mpf(q))
+                # relative condition number |q f'/f|: s at q = -10 sits near
+                # its zero at r = pi, where the rounding of sqrt|q| alone
+                # costs about 40 eps
+                kappa = abs(q * mp.diff(lambda x: exact(name, x), q) / ref)
+                err = abs((fn(q) - ref) / ref)
+                assert err <= 4 * eps * max(1.0, float(kappa)), (name, q, float(err / eps))
 
 
 def test_rotation_identity():
@@ -125,6 +159,26 @@ def test_generators_match_finite_differences():
         assert np.abs(dr - JG[m]).max() < 1e-8
         dl = (lorentz_matrix(e, np.zeros(3)) - lorentz_matrix(-e, np.zeros(3))) / (2 * h)
         assert np.abs(dl - KG[m]).max() < 1e-8
+
+
+def test_direct_kernels_match_generator_forms():
+    # reference: R = 1 + s a + h a^2 over the generators, and the boost as
+    # identity plus the outer product u u^T / (1 + u0)
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(10)
+    JG = rotation_generators()
+    for _ in range(200):
+        theta, u = random_theta(rng), rng.normal(size=3) * 2.0
+        a = np.einsum("m,mjk->jk", theta, JG)
+        q = -float(theta @ theta)
+        ref = np.eye(4) + trig_s(q) * a + trig_h(q) * (a @ a)
+        assert np.abs(rotation_matrix(theta) - ref).max() < 8 * eps
+        u0 = math.sqrt(1.0 + u @ u)
+        ref = np.eye(4)
+        ref[0, 0] = u0
+        ref[0, 1:] = ref[1:, 0] = -u
+        ref[1:, 1:] += np.outer(u, u) / (1.0 + u0)
+        assert np.abs(boost_matrix(u) - ref).max() < 8 * eps * u0
 
 
 def test_decompose_identity_and_pure_boost():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xpoincare.algebra import exp_ad
+from xpoincare.checks import sample_params
 from xpoincare.lorentz import DecompositionError
 from xpoincare.poincare import (AffineRep, GroupParams, compose,
                                 compose_via_affine, from_affine, inverse,
@@ -97,6 +98,29 @@ def test_compose_closed_equals_affine_oracle():
     for _ in range(100):
         g2, g1 = sample(rng), sample(rng)
         assert aff_dist(compose(g2, g1), compose_via_affine(g2, g1)) < 1e-10
+
+
+def test_compose_closed_equals_affine_oracle_wide():
+    # wide draws cover the trig, hyperbolic and null branches, and some
+    # products leave the chart: both routes must reject together
+    rng = np.random.default_rng(26)
+    rejected = 0
+    for _ in range(1000):
+        g2, g1 = sample_params(rng, wide=True), sample_params(rng, wide=True)
+        routes = []
+        for route in (compose, compose_via_affine):
+            try:
+                routes.append(route(g2, g1))
+            except DecompositionError:
+                routes.append(None)
+        c, ref = routes
+        assert (c is None) == (ref is None)
+        if c is None:
+            rejected += 1
+            continue
+        m = np.abs(xl_matrix(g2.xl) @ xl_matrix(g1.xl)).max()
+        assert aff_dist(c, ref) <= 1e-10 * max(1.0, m * m)
+    assert 0 < rejected < 1000
 
 
 def test_compose_associativity():

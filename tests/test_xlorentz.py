@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import exp_ad
-from xpoincare.lorentz import DecompositionError, rotation_matrix
+from xpoincare.checks import suite_group_axioms
+from xpoincare.lorentz import (DecompositionError, rotation_matrix, trig_h,
+                               trig_s)
 from xpoincare.xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                                 dirac_generator5, embed_lorentz5, omega_branch,
                                 omega_square, xl_compose, xl_decompose,
@@ -80,6 +82,17 @@ def test_dirac_boost_matches_exp_ad_all_branches():
         worst = max(worst, np.abs(
             dirac_boost_mat5(omega) - exp_ad_block(omega)).max())
     assert worst < 1e-10
+
+
+def test_dirac_boost_matches_generator_form():
+    # reference: W = 1 + s g + h g^2 over the generator matrix
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(12)
+    for kind in ("trig", "hyperbolic", "null") * 50:
+        omega = rand_omega(rng, kind)
+        g, q = dirac_generator5(omega), omega_square(omega)
+        ref = np.eye(5) + trig_s(q) * g + trig_h(q) * (g @ g)
+        assert np.abs(dirac_boost_mat5(omega) - ref).max() < 8 * eps * np.abs(ref).max()
 
 
 def test_dirac_generator_structure():
@@ -160,6 +173,16 @@ def test_decompose_noncanonical_trig_aliases():
         p = xl_decompose(M)
         assert -omega_square(p.omega) <= math.pi ** 2 + 1e-9
         assert np.abs(xl_matrix(p) - M).max() < 1e-8
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_group_axioms_at_rotation_branch_point_seeds(seed):
+    # these seeds draw rotations within 1e-4 of |theta| = pi; dividing by
+    # sin|theta| there used to leave xl-factorization-roundtrip at 1e-7
+    props, failures = suite_group_axioms(1000, seed)
+    assert not failures, failures
+    rt = next(p for p in props if p["name"] == "xl-factorization-roundtrip")
+    assert rt["max_residual"] < 1e-9
 
 
 def test_decompose_rejects_outside_reachable_set():
