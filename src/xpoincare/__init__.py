@@ -12,17 +12,14 @@ function; the package is safe for concurrent use.
 
 from .algebra import (EPS3, ETA, GENERATOR_NAMES, STRUCTURE_CONSTANTS,
                       GeneratorIndex, JacobiReport, StructureConstants,
-                      ad_matrix, adjoint_of, casimir_lambda, casimir_mu,
-                      commutator, exp_ad, invariance_residual, jacobi_check,
-                      jacobi_residual)
+                      adjoint_of, casimir_lambda, casimir_mu, commutator,
+                      exp_ad, invariance_residual, jacobi_check)
 from .lorentz import (DecompositionError, axis_angle_of_rotation3,
-                      boost_matrix, lorentz_decompose, lorentz_inverse_params,
-                      lorentz_matrix, metric_residual, rapidity,
-                      rotation_matrix, u0_of, velocity_of_rapidity)
+                      boost_matrix, lorentz_decompose, lorentz_matrix,
+                      metric_residual, rapidity, rotation_matrix)
 from .xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
-                       dirac_generator5, embed_lorentz5, omega_branch,
-                       omega_square, xl_compose, xl_decompose, xl_inverse,
-                       xl_matrix)
+                       dirac_generator5, omega_branch, omega_square,
+                       xl_decompose, xl_matrix)
 from .poincare import (AffineRep, GroupParams, PARAM_NAMES, compose,
                        compose_via_affine, from_affine, inverse, oplus,
                        params_to_vector, theta_claimed_mask, theta_closed,

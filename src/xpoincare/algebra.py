@@ -143,22 +143,19 @@ def _build_dense() -> np.ndarray:
 STRUCTURE_CONSTANTS = StructureConstants(_build_dense())
 
 
-def commutator(x, y, table: StructureConstants | None = None) -> np.ndarray:
+# Read-only float copy of the table, shared by adjoint_of and poincare.oplus.
+_F_FLOAT = STRUCTURE_CONSTANTS.dense.astype(float)
+_F_FLOAT.flags.writeable = False
+
+
+def commutator(x, y) -> np.ndarray:
     """Coefficients z of [x.X, y.X] = i z.X for coefficient 15-vectors x, y.
 
     Exact for integer-valued inputs.
     """
-    t = (table or STRUCTURE_CONSTANTS).dense
     x = np.asarray(x)
     y = np.asarray(y)
-    return np.einsum("a,b,abc->c", x, y, t)
-
-
-def jacobi_residual(a: int, b: int, c: int,
-                    table: StructureConstants | None = None) -> np.ndarray:
-    """Exact integer 15-vector of Jacobi violations for one generator triple."""
-    f = (table or STRUCTURE_CONSTANTS).dense
-    return (f[a, b] @ f[:, c] + f[b, c] @ f[:, a] + f[c, a] @ f[:, b])
+    return np.einsum("a,b,abc->c", x, y, STRUCTURE_CONSTANTS.dense)
 
 
 @dataclass
@@ -187,18 +184,12 @@ def jacobi_check(table: StructureConstants | None = None) -> JacobiReport:
     return JacobiReport(worst, violations)
 
 
-def ad_matrix(a: int, table: StructureConstants | None = None) -> np.ndarray:
-    """Adjoint-action matrix (F_a)[r, s] = f_ar^s as float 15x15."""
-    return (table or STRUCTURE_CONSTANTS).dense[int(a)].astype(float)
+def adjoint_of(x) -> np.ndarray:
+    """Sum_a x_a F_a for a coefficient 15-vector x, (F_a)[r, s] = f_ar^s."""
+    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), _F_FLOAT)
 
 
-def adjoint_of(x, table: StructureConstants | None = None) -> np.ndarray:
-    """Sum_a x_a F_a for a coefficient 15-vector x."""
-    t = (table or STRUCTURE_CONSTANTS).dense
-    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), t.astype(float))
-
-
-def exp_ad(x, t: float = 1.0, table: StructureConstants | None = None) -> np.ndarray:
+def exp_ad(x, t: float = 1.0) -> np.ndarray:
     """Matrix exponential exp(t * sum_a x_a F_a).
 
     This is the oracle every closed-form group matrix in the package is
@@ -206,7 +197,7 @@ def exp_ad(x, t: float = 1.0, table: StructureConstants | None = None) -> np.nda
     imported here alone) and shares no code with the closed forms.
     """
     from scipy.linalg import expm
-    return expm(float(t) * adjoint_of(x, table))
+    return expm(float(t) * adjoint_of(x))
 
 
 def casimir_lambda() -> np.ndarray:
@@ -248,27 +239,23 @@ def invariance_residual(kmat: np.ndarray,
 # ---------------------------------------------------------------------------
 # serialization of the structure-constant table (CSV / JSON object)
 
-def table_to_csv(table: StructureConstants | None = None,
-                 both_orders: bool = False) -> str:
-    table = table or STRUCTURE_CONSTANTS
+def table_to_csv(both_orders: bool = False) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["a", "b", "c", "f"])
-    for a, b, c, v in table.rows(both_orders):
+    for a, b, c, v in STRUCTURE_CONSTANTS.rows(both_orders):
         w.writerow([GENERATOR_NAMES[a], GENERATOR_NAMES[b], GENERATOR_NAMES[c], v])
     return buf.getvalue()
 
 
-def table_to_json_obj(table: StructureConstants | None = None,
-                      both_orders: bool = False) -> dict:
-    table = table or STRUCTURE_CONSTANTS
+def table_to_json_obj(both_orders: bool = False) -> dict:
     return {
         "order": list(GENERATOR_NAMES),
         "convention": "[X_a, X_b] = i f_ab^c X_c",
         "entries": [
             {"a": GENERATOR_NAMES[a], "b": GENERATOR_NAMES[b],
              "c": GENERATOR_NAMES[c], "f": v}
-            for a, b, c, v in table.rows(both_orders)
+            for a, b, c, v in STRUCTURE_CONSTANTS.rows(both_orders)
         ],
     }
 

@@ -40,16 +40,16 @@ def _ball(rng, n, radius):
     return _unit(rng, n) * radius * rng.uniform() ** (1.0 / n)
 
 
-def sample_omega(rng, kind: str, scale: float = 2.5) -> np.ndarray:
+def sample_omega(rng, kind: str) -> np.ndarray:
     """omega with a prescribed branch: trig (q<0), hyperbolic (q>0), near-null."""
     if kind == "trig":
         v = rng.normal(size=3)
         n = np.concatenate([[np.sqrt(1.0 + v @ v) * rng.choice([-1.0, 1.0])], v])
-        return n * rng.uniform(0.01, scale)
+        return n * rng.uniform(0.01, 2.5)
     if kind == "hyperbolic":
         t = rng.normal()
         v = _unit(rng, 3) * np.sqrt(1.0 + t * t)
-        return np.concatenate([[t], v]) * rng.uniform(0.01, min(scale, 2.0))
+        return np.concatenate([[t], v]) * rng.uniform(0.01, 2.0)
     v = rng.normal(size=3)
     eps = rng.choice([0.0, 1e-9, -1e-9, 1e-12, -1e-12])
     return np.concatenate([[np.linalg.norm(v) * (1.0 + eps)], v]) * rng.uniform(0.1, 2.0)
@@ -181,7 +181,10 @@ def suite_oracle(trials, seed):
     for _ in range(n_sub):
         x = rng.normal(size=15) * 0.6
         t1, t2 = rng.uniform(-1.5, 1.5, size=2)
-        r = float(np.abs(exp_ad(x, t1) @ exp_ad(x, t2) - exp_ad(x, t1 + t2)).max())
+        a, b = exp_ad(x, t1), exp_ad(x, t2)
+        # the float64 error of the three exponentials grows with their size
+        scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
+        r = float(np.abs(a @ b - exp_ad(x, t1 + t2)).max()) / scale
         _track(worst, r, x, lambda v: {"coefficients": [float(c) for c in v]})
     s.record("one-parameter-subgroup", n_sub, worst[0], 1e-10, worst[1])
 

@@ -75,11 +75,6 @@ def boost_generators() -> np.ndarray:
 
 # --- basic maps ------------------------------------------------------------
 
-def u0_of(u) -> float:
-    u = np.asarray(u, dtype=float)
-    return float(np.sqrt(1.0 + u @ u))
-
-
 def rapidity(u) -> np.ndarray:
     """Rapidity 3-vector beta with u = u-hat * sinh|beta|."""
     u = np.asarray(u, dtype=float)
@@ -87,14 +82,6 @@ def rapidity(u) -> np.ndarray:
     if nu == 0.0:
         return np.zeros(3)
     return u / nu * float(np.arcsinh(nu))
-
-
-def velocity_of_rapidity(beta) -> np.ndarray:
-    beta = np.asarray(beta, dtype=float)
-    nb = np.linalg.norm(beta)
-    if nb == 0.0:
-        return np.zeros(3)
-    return beta / nb * float(np.sinh(nb))
 
 
 def rotation_matrix(theta) -> np.ndarray:
@@ -138,14 +125,10 @@ def metric_residual(M) -> float:
     return float(np.abs(M.T @ ETA @ M - ETA).max())
 
 
-def lorentz_inverse_params(u, theta):
-    """Parameters of the inverse element: (-R3(-theta) u, -theta)."""
-    u = np.asarray(u, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    return -(rotation_matrix(-theta)[1:, 1:] @ u), -theta
-
-
 # --- parameter recovery -----------------------------------------------------
+
+METRIC_TOL = 1e-8
+
 
 def _canonical_sign(v: np.ndarray) -> np.ndarray:
     nz = np.nonzero(np.abs(v) > 1e-9)[0]
@@ -186,19 +169,19 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     return phi * ax
 
 
-def lorentz_decompose(M, tol: float = 1e-8):
+def lorentz_decompose(M):
     """Recover (u, theta) with lorentz_matrix(u, theta) = M.
 
     Rejects input that is not a proper orthochronous Lorentz matrix:
-    metric residual >= tol, M^0_0 < 1, or det != +1.
+    metric residual >= METRIC_TOL, M^0_0 < 1, or det != +1.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
         raise DecompositionError(f"expected a 4x4 matrix, got {M.shape}")
     res = metric_residual(M)
-    if res >= tol:
+    if res >= METRIC_TOL:
         raise DecompositionError(
-            f"metric residual {res:.3e} exceeds {tol:.1e}: not a Lorentz matrix")
+            f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")
     if M[0, 0] < 1.0 - 1e-9:
         raise DecompositionError(
             f"M^0_0 = {M[0, 0]:.6g} < 1: not orthochronous")

@@ -31,10 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import EPS3, ETA, STRUCTURE_CONSTANTS
+from .algebra import _F_FLOAT, EPS3, ETA
 from .lorentz import rapidity
-from .xlorentz import (BFORM, XLParams, _xl_factors, _xl_inverse,
-                       xl_decompose, xl_matrix)
+from .xlorentz import BFORM, XLParams, _xl_factors, xl_decompose, xl_matrix
 
 PARAM_NAMES = (
     "theta1", "theta2", "theta3", "u1", "u2", "u3",
@@ -148,14 +147,17 @@ def compose_via_affine(g2: GroupParams, g1: GroupParams) -> GroupParams:
 
 
 def inverse(g: GroupParams) -> GroupParams:
-    """Closed-form inverse.
+    """Closed-form inverse, from one build of D and Lambda = L(u) R(theta).
 
-    Extended-Lorentz part as in xl_inverse and translation 5-vector
-    t' = -D(g)^T t (the closed form of -T(g)^{-1} t), from one build of D.
+    Translation 5-vector t' = -D(g)^T t (the closed form of -T(g)^{-1} t).
+    Extended-Lorentz part: theta' = -theta, u' = -R3(-theta) u = Lambda[0, 1:],
+    and omega transforms as a covector under the Lorentz part: omega' =
+    -Lambda^{-1} omega = -eta Lambda^T eta omega, so W(omega') = E^{-1} W(-omega) E.
     """
     d, lam = _xl_factors(g.xl)
     t_inv = -(d.T @ _translation(g))
-    return GroupParams(alpha=float(t_inv[4]), a=t_inv[:4], xl=_xl_inverse(g.xl, lam))
+    xl = XLParams(-(ETA @ (lam.T @ (ETA @ g.xl.omega))), lam[0, 1:], -g.xl.theta)
+    return GroupParams(alpha=float(t_inv[4]), a=t_inv[:4], xl=xl)
 
 
 # --- fundamental representation ----------------------------------------------
@@ -165,8 +167,7 @@ def inverse(g: GroupParams) -> GroupParams:
 # disjoint supports (Frobenius-orthogonal, squared norm 2), so the 10x10
 # sector of the representation is read off exactly by expanding D^{-1} G_A D
 # as coefficients 0.5 <G_B, .>.
-_F = STRUCTURE_CONSTANTS.dense.astype(float)
-_G5 = _F[:10, 10:, 10:]
+_G5 = _F_FLOAT[:10, 10:, 10:]
 _G5_DUAL = 0.5 * _G5.reshape(10, 25)
 
 
@@ -186,7 +187,7 @@ def oplus(g: GroupParams) -> np.ndarray:
     entry(Gam^m, P_b) = alpha eta^{mb} and entry(Gam^m, Gs) = a^m, its J and
     K rows the orbital couplings into the P columns.
     """
-    tfac = np.eye(15) + (_translation(g) @ _F[10:].reshape(5, 225)).reshape(15, 15)
+    tfac = np.eye(15) + (_translation(g) @ _F_FLOAT[10:].reshape(5, 225)).reshape(15, 15)
     d5 = xl_matrix(g.xl)
     xlo = np.zeros((15, 15))
     xlo[:10, :10] = _xl_adjoint10(d5)
@@ -212,7 +213,10 @@ def oplus_pure_factor_vector(g: GroupParams) -> list[np.ndarray]:
 
 # --- Lie structure matrices ----------------------------------------------------
 
-def theta_numeric(g: GroupParams, step: float = 1e-5) -> np.ndarray:
+THETA_STEP = 1e-5  # central-difference step of theta_numeric
+
+
+def theta_numeric(g: GroupParams) -> np.ndarray:
     """Structure matrix by central differences of the composition map.
 
     Entry [r, s] is the derivative of composed parameter s with respect to
@@ -222,10 +226,10 @@ def theta_numeric(g: GroupParams, step: float = 1e-5) -> np.ndarray:
     out = np.zeros((15, 15))
     for r in range(15):
         dv = np.zeros(15)
-        dv[r] = step
+        dv[r] = THETA_STEP
         plus = params_to_vector(compose(vector_to_params(dv), g))
         minus = params_to_vector(compose(vector_to_params(-dv), g))
-        out[r, :] = (plus - minus) / (2.0 * step)
+        out[r, :] = (plus - minus) / (2.0 * THETA_STEP)
     return out
 
 

@@ -38,6 +38,8 @@ BFORM[4, 4] = 1.0
 BFORM.flags.writeable = False
 
 NULL_BRANCH_TOL = 1e-12
+B_TOL = 1e-8        # B-form residual gate of xl_decompose
+BLOCK_TOL = 1e-7    # block-diagonality gate after Dirac-boost stripping
 
 
 def omega_square(omega) -> float:
@@ -46,10 +48,10 @@ def omega_square(omega) -> float:
     return float(omega @ (ETA @ omega))
 
 
-def omega_branch(omega, null_tol: float = NULL_BRANCH_TOL) -> str:
+def omega_branch(omega) -> str:
     """Branch label of omega: 'trig', 'hyperbolic', or 'null'."""
     q = omega_square(omega)
-    if abs(q) < null_tol:
+    if abs(q) < NULL_BRANCH_TOL:
         return "null"
     return "hyperbolic" if q > 0 else "trig"
 
@@ -75,13 +77,6 @@ def dirac_boost_mat5(omega) -> np.ndarray:
                      -h2 * w0, h2 * w1, 1.0 + h2 * w2, h2 * w3, -s * w2,
                      -h3 * w0, h3 * w1, h3 * w2, 1.0 + h3 * w3, -s * w3,
                      s * w0, -s * w1, -s * w2, -s * w3, 1.0 + h * q]).reshape(5, 5)
-
-
-def embed_lorentz5(u, theta) -> np.ndarray:
-    """Lorentz transformation on the P block, identity on the Gs slot."""
-    e = np.eye(5)
-    e[:4, :4] = lorentz_matrix(u, theta)
-    return e
 
 
 @dataclass(frozen=True)
@@ -156,10 +151,10 @@ def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
     return -vP / trig_s(q)
 
 
-def xl_decompose(M, b_tol: float = 1e-8, block_tol: float = 1e-7) -> XLParams:
+def xl_decompose(M) -> XLParams:
     """Factor a 5x5 matrix as W(omega) L(u) R(theta) and return the parameters.
 
-    Preconditions: M preserves B within b_tol and lies in the image of
+    Preconditions: M preserves B within B_TOL and lies in the image of
     xl_matrix.  Matrices outside the reachable set (including any with
     M[Gs, Gs] < -1) fail the block-diagonality gate after the Dirac boost is
     stripped and are rejected with a diagnostic.
@@ -168,35 +163,16 @@ def xl_decompose(M, b_tol: float = 1e-8, block_tol: float = 1e-7) -> XLParams:
     if M.shape != (5, 5):
         raise DecompositionError(f"expected a 5x5 matrix, got {M.shape}")
     res = b_residual(M)
-    if res >= b_tol:
+    if res >= B_TOL:
         raise DecompositionError(
-            f"B-form residual {res:.3e} exceeds {b_tol:.1e}: not in the group")
+            f"B-form residual {res:.3e} exceeds {B_TOL:.1e}: not in the group")
     omega = _omega_from_gs_column(M[:, 4].copy())
     E = dirac_boost_mat5(-omega) @ M
     off = max(float(np.abs(E[:4, 4]).max()), float(np.abs(E[4, :4]).max()),
               abs(float(E[4, 4]) - 1.0))
-    if off > block_tol:
+    if off > BLOCK_TOL:
         raise DecompositionError(
             f"residual {off:.3e} after Dirac-boost stripping "
             f"(branch '{omega_branch(omega)}'): matrix outside the reachable set")
     u, theta = lorentz_decompose(E[:4, :4])
     return XLParams(omega, u, theta)
-
-
-def xl_compose(p2: XLParams, p1: XLParams) -> XLParams:
-    """Canonical parameters of the product: matrix multiply, then factor."""
-    return xl_decompose(xl_matrix(p2) @ xl_matrix(p1))
-
-
-def xl_inverse(p: XLParams) -> XLParams:
-    """Closed-form parameters of the inverse element.
-
-    theta' = -theta, u' = -R3(-theta) u = Lambda[0, 1:] for Lambda = L R, and
-    omega transforms as a covector under the Lorentz part: omega' =
-    -Lambda^{-1} omega = -eta Lambda^T eta omega, so W(omega') = E^{-1} W(-omega) E.
-    """
-    return _xl_inverse(p, lorentz_matrix(p.u, p.theta))
-
-
-def _xl_inverse(p: XLParams, lam: np.ndarray) -> XLParams:
-    return XLParams(-(ETA @ (lam.T @ (ETA @ p.omega))), lam[0, 1:], -p.theta)

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from xpoincare.algebra import ETA
 from xpoincare.lorentz import (_SERIES_WINDOW, DecompositionError,
                                axis_angle_of_rotation3, boost_generators,
-                               boost_matrix, lorentz_decompose,
-                               lorentz_inverse_params, lorentz_matrix,
+                               boost_matrix, lorentz_decompose, lorentz_matrix,
                                metric_residual, rapidity, rotation_generators,
-                               rotation_matrix, trig_c, trig_h, trig_s, u0_of,
-                               velocity_of_rapidity)
+                               rotation_matrix, trig_c, trig_h, trig_s)
+from xpoincare.poincare import GroupParams, inverse
+from xpoincare.xlorentz import XLParams
 
 coords = st.floats(-1.5, 1.5, allow_nan=False)
 u_vectors = st.tuples(coords, coords, coords).map(np.array)
@@ -106,8 +106,10 @@ def test_rapidity_maps_are_inverse():
     rng = np.random.default_rng(7)
     for _ in range(20):
         u = rng.normal(size=3)
-        assert np.allclose(velocity_of_rapidity(rapidity(u)), u, atol=1e-12)
-    assert u0_of([0.75, 0, 0]) == pytest.approx(1.25)
+        beta = rapidity(u)
+        nb = np.linalg.norm(beta)  # u = beta-hat sinh|beta|
+        assert np.allclose(beta / nb * np.sinh(nb), u, atol=1e-12)
+    assert boost_matrix([0.75, 0, 0])[0, 0] == pytest.approx(1.25)
 
 
 def test_lorentz_matrix_factors():
@@ -130,12 +132,18 @@ def test_inverse_by_index_gymnastics():
         assert np.abs(np.linalg.inv(lam) - ETA @ lam.T @ ETA).max() < 1e-12
 
 
+def inverse_lorentz_params(u, theta):
+    """(u', theta') of the inverse of a pure-Lorentz element, via inverse."""
+    xl = inverse(GroupParams(xl=XLParams(u=u, theta=theta))).xl
+    return xl.u, xl.theta
+
+
 def test_inverse_params_special_cases():
     theta = np.array([0.2, -0.5, 0.4])
-    u2, t2 = lorentz_inverse_params(np.zeros(3), theta)
+    u2, t2 = inverse_lorentz_params(np.zeros(3), theta)
     assert np.allclose(u2, 0) and np.array_equal(t2, -theta)
     u = np.array([0.4, 0.1, -0.2])
-    u2, t2 = lorentz_inverse_params(u, np.zeros(3))
+    u2, t2 = inverse_lorentz_params(u, np.zeros(3))
     assert np.allclose(u2, -u, atol=1e-15) and np.array_equal(t2, np.zeros(3))
 
 
@@ -143,7 +151,7 @@ def test_inverse_params_products_to_identity():
     rng = np.random.default_rng(9)
     for _ in range(50):
         u, theta = rng.normal(size=3), random_theta(rng)
-        u2, t2 = lorentz_inverse_params(u, theta)
+        u2, t2 = inverse_lorentz_params(u, theta)
         prod = lorentz_matrix(u2, t2) @ lorentz_matrix(u, theta)
         assert np.abs(prod - np.eye(4)).max() < 1e-10
 

@@ -8,10 +8,10 @@ from xpoincare.algebra import exp_ad
 from xpoincare.checks import suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, rotation_matrix, trig_h,
                                trig_s)
+from xpoincare.poincare import GroupParams, compose, inverse
 from xpoincare.xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
-                                dirac_generator5, embed_lorentz5, omega_branch,
-                                omega_square, xl_compose, xl_decompose,
-                                xl_inverse, xl_matrix)
+                                dirac_generator5, omega_branch, omega_square,
+                                xl_decompose, xl_matrix)
 
 COSH_HALF_PI = 2.5091784786580567
 SINH_HALF_PI = 2.3012989023072947
@@ -25,6 +25,11 @@ def exp_ad_block(omega):
     x = np.zeros(15)
     x[6:10] = omega
     return exp_ad(x)[10:, 10:]
+
+
+def xl_product(p2, p1):
+    """Extended-Lorentz part of the product of two pure-xl elements."""
+    return compose(GroupParams(xl=p2), GroupParams(xl=p1)).xl
 
 
 def trig_direction(rng):
@@ -109,16 +114,16 @@ def test_dirac_boost_preserves_bform(omega):
 
 
 def test_embed_identity_and_gs_slot():
-    assert np.array_equal(embed_lorentz5(np.zeros(3), np.zeros(3)), np.eye(5))
+    assert np.array_equal(xl_matrix(XLParams()), np.eye(5))
     rng = np.random.default_rng(12)
     for _ in range(20):
-        E = embed_lorentz5(rng.normal(size=3), rng.normal(size=3))
+        E = xl_matrix(XLParams(u=rng.normal(size=3), theta=rng.normal(size=3)))
         assert E[4, 4] == 1.0
         assert np.abs(E[:4, 4]).max() == 0 and np.abs(E[4, :4]).max() == 0
 
 
 def test_embed_pure_pi_rotation():
-    E = embed_lorentz5(np.zeros(3), [0.0, 0.0, math.pi])
+    E = xl_matrix(XLParams(theta=[0.0, 0.0, math.pi]))
     assert np.abs(E[:4, :4] - np.diag([1.0, -1.0, -1.0, 1.0])).max() < 1e-15
 
 
@@ -208,13 +213,13 @@ def test_compose_with_identity():
     rng = np.random.default_rng(16)
     p = XLParams(rand_omega(rng, "trig") * 0.3, rng.normal(size=3) * 0.5,
                  rng.normal(size=3) * 0.5)
-    q = xl_compose(p, XLParams.identity())
+    q = xl_product(p, XLParams.identity())
     assert np.abs(xl_matrix(q) - xl_matrix(p)).max() < 1e-10
 
 
 def test_compose_rotations_add():
     a, b = 0.9, 2.8  # sum exceeds pi: compare matrices, angles add mod 2pi
-    p = xl_compose(XLParams(theta=np.array([0, 0, a])),
+    p = xl_product(XLParams(theta=np.array([0, 0, a])),
                    XLParams(theta=np.array([0, 0, b])))
     want = np.eye(5)
     want[:4, :4] = rotation_matrix([0.0, 0.0, a + b])
@@ -224,11 +229,11 @@ def test_compose_rotations_add():
 def test_compose_dirac_boosts_same_direction_add():
     rng = np.random.default_rng(17)
     n = trig_direction(rng)
-    p = xl_compose(XLParams(omega=1.1 * n), XLParams(omega=0.7 * n))
+    p = xl_product(XLParams(omega=1.1 * n), XLParams(omega=0.7 * n))
     assert np.abs(xl_matrix(p) - dirac_boost_mat5(1.8 * n)).max() < 1e-10
     # same along a spatial (hyperbolic) direction
     s = np.array([0.0, 0.6, -0.8, 0.0])
-    p = xl_compose(XLParams(omega=1.3 * s), XLParams(omega=0.9 * s))
+    p = xl_product(XLParams(omega=1.3 * s), XLParams(omega=0.9 * s))
     assert np.abs(xl_matrix(p) - dirac_boost_mat5(2.2 * s)).max() < 1e-10
 
 
@@ -245,6 +250,6 @@ def test_xl_inverse_closed_form():
     for kind in ("trig", "hyperbolic", "null") * 20:
         p = XLParams(rand_omega(rng, kind), rng.normal(size=3),
                      rng.normal(size=3) * 0.8)
-        pi = xl_inverse(p)
+        pi = inverse(GroupParams(xl=p)).xl
         assert np.abs(xl_matrix(pi) @ xl_matrix(p) - np.eye(5)).max() < 1e-10
         assert np.abs(xl_matrix(p) @ xl_matrix(pi) - np.eye(5)).max() < 1e-10
