@@ -21,6 +21,8 @@ import numpy as np
 
 from .algebra import ETA, EPS3
 
+_ETA_DIAG = np.diag(ETA)
+
 
 class DecompositionError(ValueError):
     """Input matrix violates a decomposition precondition."""
@@ -120,9 +122,9 @@ def lorentz_matrix(u, theta) -> np.ndarray:
 
 
 def metric_residual(M) -> float:
-    """max |M^T eta M - eta|."""
+    """max |M^T eta M - eta|; eta is diagonal, so M^T eta is a column scaling."""
     M = np.asarray(M, dtype=float)
-    return float(np.abs(M.T @ ETA @ M - ETA).max())
+    return float(np.abs((M.T * _ETA_DIAG) @ M - ETA).max())
 
 
 # --- parameter recovery -----------------------------------------------------
@@ -146,13 +148,13 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     the pi branch point; there the axis comes from the symmetric part.
     """
     R3 = np.asarray(R3, dtype=float)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R3.tolist()
     # w = sin(phi) * axis in this convention
-    w = 0.5 * np.array([R3[1, 2] - R3[2, 1],
-                        R3[2, 0] - R3[0, 2],
-                        R3[0, 1] - R3[1, 0]])
-    c = (np.trace(R3) - 1.0) / 2.0
-    s = float(np.linalg.norm(w))
-    phi = float(np.arctan2(s, c))
+    wx, wy, wz = 0.5 * (r12 - r21), 0.5 * (r20 - r02), 0.5 * (r01 - r10)
+    w = np.array([wx, wy, wz])
+    c = (r00 + r11 + r22 - 1.0) / 2.0
+    s = math.sqrt(wx * wx + wy * wy + wz * wz)
+    phi = math.atan2(s, c)
     # the sine branch divides the rounding of w by s; below s = 0.5 on the
     # far side (c < 0) the symmetric part gives the better-conditioned axis
     if c > 0 or s >= 0.5:
@@ -169,6 +171,17 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     return phi * ax
 
 
+def _det4(m) -> float:
+    """Determinant of a 4x4 nested list, by 2x2 minors of rows (0, 1) and (2, 3)."""
+    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
+        (a30, a31, a32, a33) = m
+    s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
+    s3, s4, s5 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
+    c5, c4, c3 = a22 * a33 - a32 * a23, a21 * a33 - a31 * a23, a21 * a32 - a31 * a22
+    c2, c1, c0 = a20 * a33 - a30 * a23, a20 * a32 - a30 * a22, a20 * a31 - a30 * a21
+    return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
+
+
 def lorentz_decompose(M):
     """Recover (u, theta) with lorentz_matrix(u, theta) = M.
 
@@ -179,20 +192,23 @@ def lorentz_decompose(M):
     if M.shape != (4, 4):
         raise DecompositionError(f"expected a 4x4 matrix, got {M.shape}")
     res = metric_residual(M)
-    if res >= METRIC_TOL:
+    if not res < METRIC_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")
-    if M[0, 0] < 1.0 - 1e-9:
+    if not M[0, 0] >= 1.0 - 1e-9:
         raise DecompositionError(
             f"M^0_0 = {M[0, 0]:.6g} < 1: not orthochronous")
-    det = float(np.linalg.det(M))
-    if abs(det - 1.0) > 1e-6:
+    # R = L(-u) M has |R| ~ 1, so its cofactor determinant (= det M) rounds
+    # like an LU of M; the cofactor of M itself would lose |M|^3 eps
+    u = -M[1:, 0]
+    R = boost_matrix(M[1:, 0]) @ M
+    r = R.tolist()
+    det = _det4(r)
+    if not abs(det - 1.0) <= 1e-6:
         raise DecompositionError(f"det = {det:.6g} != +1: improper")
-    u = -M[1:, 0].copy()
-    R = boost_matrix(-u) @ M
-    off = max(float(np.abs(R[0, 1:]).max()), float(np.abs(R[1:, 0]).max()),
-              abs(float(R[0, 0]) - 1.0))
-    if off > 1e-7:
+    off = max(abs(r[0][1]), abs(r[0][2]), abs(r[0][3]), abs(r[1][0]),
+              abs(r[2][0]), abs(r[3][0]), abs(r[0][0] - 1.0))
+    if not off <= 1e-7:
         raise DecompositionError(
             f"boost stripping left time-space coupling {off:.3e}")
     theta = axis_angle_of_rotation3(R[1:, 1:])

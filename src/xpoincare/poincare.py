@@ -27,13 +27,15 @@ that affine rule; the test suite verifies both routes against each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .algebra import _F_FLOAT, EPS3, ETA
-from .lorentz import rapidity
-from .xlorentz import BFORM, XLParams, _xl_factors, xl_decompose, xl_matrix
+from .lorentz import _ETA_DIAG, rapidity
+from .xlorentz import (_BDIAG, BFORM, XLParams, _xl_factors, xl_decompose,
+                       xl_matrix)
 
 PARAM_NAMES = (
     "theta1", "theta2", "theta3", "u1", "u2", "u3",
@@ -51,14 +53,15 @@ class GroupParams:
     xl: XLParams = field(default_factory=XLParams)
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float).copy()
+        a = np.array(self.a, dtype=float)
         if a.shape != (4,):
             raise ValueError(f"a must have shape (4,), got {a.shape}")
-        if not (np.isfinite(a).all() and np.isfinite(self.alpha)):
+        alpha = float(self.alpha)
+        if not (all(map(math.isfinite, a.tolist())) and math.isfinite(alpha)):
             raise ValueError("parameters must be finite")
         a.flags.writeable = False
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", alpha)
 
     @classmethod
     def identity(cls) -> "GroupParams":
@@ -136,7 +139,7 @@ def compose(g2: GroupParams, g1: GroupParams) -> GroupParams:
     product leaves the factorizable set.
     """
     d2, d1 = xl_matrix(g2.xl), xl_matrix(g1.xl)
-    t = _translation(g2) + BFORM @ (d2 @ (BFORM @ _translation(g1)))
+    t = _translation(g2) + _BDIAG * (d2 @ (_BDIAG * _translation(g1)))
     return GroupParams(alpha=float(t[4]), a=t[:4], xl=xl_decompose(d2 @ d1))
 
 
@@ -156,7 +159,8 @@ def inverse(g: GroupParams) -> GroupParams:
     """
     d, lam = _xl_factors(g.xl)
     t_inv = -(d.T @ _translation(g))
-    xl = XLParams(-(ETA @ (lam.T @ (ETA @ g.xl.omega))), lam[0, 1:], -g.xl.theta)
+    xl = XLParams(-(_ETA_DIAG * (lam.T @ (_ETA_DIAG * g.xl.omega))), lam[0, 1:],
+                  -g.xl.theta)
     return GroupParams(alpha=float(t_inv[4]), a=t_inv[:4], xl=xl)
 
 
@@ -169,10 +173,12 @@ def inverse(g: GroupParams) -> GroupParams:
 # as coefficients 0.5 <G_B, .>.
 _G5 = _F_FLOAT[:10, 10:, 10:]
 _G5_DUAL = 0.5 * _G5.reshape(10, 25)
+# t = (a, alpha) -> the only block off the identity of the translation factor
+_F_TRANS = _F_FLOAT[10:, :10, 10:].reshape(5, 50)
 
 
 def _xl_adjoint10(d5: np.ndarray) -> np.ndarray:
-    d_inv = BFORM @ d5.T @ BFORM
+    d_inv = _BDIAG[:, None] * d5.T * _BDIAG
     return (d_inv @ _G5 @ d5).reshape(10, 25) @ _G5_DUAL.T
 
 
@@ -187,12 +193,12 @@ def oplus(g: GroupParams) -> np.ndarray:
     entry(Gam^m, P_b) = alpha eta^{mb} and entry(Gam^m, Gs) = a^m, its J and
     K rows the orbital couplings into the P columns.
     """
-    tfac = np.eye(15) + (_translation(g) @ _F_FLOAT[10:].reshape(5, 225)).reshape(15, 15)
     d5 = xl_matrix(g.xl)
-    xlo = np.zeros((15, 15))
-    xlo[:10, :10] = _xl_adjoint10(d5)
-    xlo[10:, 10:] = d5
-    return tfac @ xlo
+    out = np.zeros((15, 15))
+    out[:10, :10] = _xl_adjoint10(d5)
+    out[:10, 10:] = (_translation(g) @ _F_TRANS).reshape(10, 5) @ d5
+    out[10:, 10:] = d5
+    return out
 
 
 def oplus_pure_factor_vector(g: GroupParams) -> list[np.ndarray]:
@@ -241,6 +247,12 @@ def theta_claimed_mask() -> np.ndarray:
     return m
 
 
+_THETA_FIXED = np.full((15, 15), np.nan)  # the entries of theta_closed free of g
+_THETA_FIXED[:, 10:] = _THETA_FIXED[10:, :10] = 0.0
+_THETA_FIXED[10:, 10:] = np.eye(5)        # a^b row, a^m col: delta; alpha-alpha: 1
+_THETA_FIXED.flags.writeable = False
+
+
 def theta_closed(g: GroupParams) -> np.ndarray:
     """Closed-form structure-matrix entries; NaN on the unclaimed block.
 
@@ -248,15 +260,11 @@ def theta_closed(g: GroupParams) -> np.ndarray:
     rows of every column.  Entries without a listed formula are exact zeros
     of the composition rule and are claimed as 0.
     """
-    t = np.full((15, 15), np.nan)
-    t[:, 10:] = 0.0
-    t[10:, :10] = 0.0
-    t[14, 14] = 1.0                                   # alpha-alpha
+    t = _THETA_FIXED.copy()
     t[6:10, 14] = g.a                                 # omega_m row, alpha col: a^m
-    t[10:14, 10:14] = np.eye(4)                       # a^b row, a^m col: delta
     t[6:10, 10:14] = g.alpha * ETA                    # omega_b row, a^m col: alpha eta^{mb}
     t[3:6, 10] = g.a[1:]                              # u^j row, a^0 col: a^j
-    t[[3, 4, 5], [11, 12, 13]] = g.a[0]               # u^j row, a^j col: a^0
+    t[3, 11] = t[4, 12] = t[5, 13] = g.a[0]           # u^j row, a^j col: a^0
     # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
     t[0:3, 11:14] = EPS3 @ g.a[1:]
     return t

@@ -24,6 +24,7 @@ rejected, not approximated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,7 @@ BFORM = np.zeros((5, 5))
 BFORM[:4, :4] = -ETA
 BFORM[4, 4] = 1.0
 BFORM.flags.writeable = False
+_BDIAG = np.diag(BFORM)
 
 NULL_BRANCH_TOL = 1e-12
 B_TOL = 1e-8        # B-form residual gate of xl_decompose
@@ -89,10 +91,10 @@ class XLParams:
 
     def __post_init__(self):
         for name, n in (("omega", 4), ("u", 3), ("theta", 3)):
-            v = np.asarray(getattr(self, name), dtype=float).copy()
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-            if not np.isfinite(v).all():
+            if not all(map(math.isfinite, v.tolist())):
                 raise ValueError(f"{name} must be finite")
             v.flags.writeable = False
             object.__setattr__(self, name, v)
@@ -116,9 +118,9 @@ def xl_matrix(p: XLParams) -> np.ndarray:
 
 
 def b_residual(M) -> float:
-    """max |M^T B M - B|."""
+    """max |M^T B M - B|; B is diagonal, so M^T B is a column scaling."""
     M = np.asarray(M, dtype=float)
-    return float(np.abs(M.T @ BFORM @ M - BFORM).max())
+    return float(np.abs((M.T * _BDIAG) @ M - BFORM).max())
 
 
 def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
@@ -133,16 +135,19 @@ def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
     Lorentz block.
     """
     vP = v[:4]
-    c = float(v[4])
-    qv = float(vP @ (ETA @ vP))  # = -sin^2 r (trig) or +sinh^2 chi (hyperbolic)
+    v0, v1, v2, v3, c = v.tolist()
+    qv = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3  # = -sin^2 r (trig), +sinh^2 chi (hyp.)
     if qv > 0.0 and c > 1.0:
-        chi = float(np.arcsinh(np.sqrt(qv)))
+        chi = math.asinh(math.sqrt(qv))
         return -vP / trig_s(chi * chi)
     if qv < 0.0:
-        sphi = float(np.sqrt(-qv))
-        phi = float(np.arctan2(sphi, c))
+        sphi = math.sqrt(-qv)
+        phi = math.atan2(sphi, c)
+        # 1e-4: s(-phi^2) recomputed from phi is good to pi eps / sphi (7e-12 here);
+        # 2.0: any cut in (1e-4, pi - 1e-4) keeps the small-angle end on this branch
         if sphi >= 1e-4 or phi < 2.0:
             return -vP / trig_s(-phi * phi)
+        # 1e-12: below it the P part is rounding and carries no direction
         if sphi > 1e-12:
             return -phi * vP / sphi
         return np.array([phi, 0.0, 0.0, 0.0])
@@ -163,14 +168,15 @@ def xl_decompose(M) -> XLParams:
     if M.shape != (5, 5):
         raise DecompositionError(f"expected a 5x5 matrix, got {M.shape}")
     res = b_residual(M)
-    if res >= B_TOL:
+    if not res < B_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"B-form residual {res:.3e} exceeds {B_TOL:.1e}: not in the group")
-    omega = _omega_from_gs_column(M[:, 4].copy())
+    omega = _omega_from_gs_column(M[:, 4])
     E = dirac_boost_mat5(-omega) @ M
-    off = max(float(np.abs(E[:4, 4]).max()), float(np.abs(E[4, :4]).max()),
-              abs(float(E[4, 4]) - 1.0))
-    if off > BLOCK_TOL:
+    e0, e1, e2, e3, e4 = E.tolist()
+    off = max(abs(e0[4]), abs(e1[4]), abs(e2[4]), abs(e3[4]), abs(e4[0]),
+              abs(e4[1]), abs(e4[2]), abs(e4[3]), abs(e4[4] - 1.0))
+    if not off <= BLOCK_TOL:
         raise DecompositionError(
             f"residual {off:.3e} after Dirac-boost stripping "
             f"(branch '{omega_branch(omega)}'): matrix outside the reachable set")

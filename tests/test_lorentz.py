@@ -233,3 +233,23 @@ def test_decompose_rejections():
         lorentz_decompose(np.eye(4) * 1.5)
     with pytest.raises(DecompositionError, match="4x4"):
         lorentz_decompose(np.eye(3))
+
+
+def test_decompose_accepts_large_boosts():
+    # |M| = 3e3 passes the metric gate; the det gate must not reject it
+    # through the |M|^3 eps rounding of a cofactor expansion of M itself
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        M = lorentz_matrix(random_theta(rng, 3e3), rng.normal(size=3))
+        lorentz_decompose(M)
+        with pytest.raises(DecompositionError, match="improper"):
+            lorentz_decompose(M @ np.diag([1.0, 1.0, -1.0, 1.0]))
+
+
+@pytest.mark.parametrize("M", [np.full((4, 4), np.nan), np.diag([np.nan, 1.0, 1.0, 1.0]),
+                               np.diag([1.0, 1.0, 1.0, np.inf])],
+                         ids=["all-nan", "m00-nan", "m33-inf"])
+def test_decompose_rejects_non_finite(M):
+    # NaN used to pass the `res >= tol` gates: a NaN matrix returned NaN parameters
+    with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="metric"):
+        lorentz_decompose(M)

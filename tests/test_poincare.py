@@ -196,6 +196,16 @@ def test_oplus_pure_factors_match_exp_ad():
     assert worst < 1e-10
 
 
+def test_oplus_is_translation_factor_times_xl_block():
+    # oplus writes the product of the translation factor and the block-diagonal
+    # extended-Lorentz factor directly; compare with the 15x15 product
+    rng = np.random.default_rng(32)
+    for _ in range(30):
+        g = sample(rng, scale=2.0)
+        ref = oplus(GroupParams(alpha=g.alpha, a=g.a)) @ oplus(GroupParams(xl=g.xl))
+        assert np.abs(oplus(g) - ref).max() < 8 * np.finfo(float).eps * np.abs(ref).max()
+
+
 def test_oplus_homomorphism():
     rng = np.random.default_rng(28)
     for _ in range(60):
@@ -269,3 +279,21 @@ def test_theta_claimed_mask_shape():
     assert not m[:10, :10].any()
     assert m[:, 10:].all() and m[10:, :].all()
     assert np.isnan(theta_closed(GroupParams.identity())[:10, :10]).all()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"a": [np.nan, 0.0, 0.0, 0.0]}, {"a": [0.0, 0.0, np.inf, 0.0]},
+    {"alpha": np.nan}, {"alpha": -np.inf}, {"a": np.zeros(3)}, {"a": np.zeros((2, 2))}])
+def test_group_params_rejects_non_finite_and_wrong_shape(kwargs):
+    with pytest.raises(ValueError):
+        GroupParams(**kwargs)
+
+
+def test_group_params_stores_a_read_only_copy():
+    a = np.array([0.1, 0.2, 0.3, 0.4])
+    g = GroupParams(alpha=0.5, a=a)
+    assert not g.a.flags.writeable
+    with pytest.raises(ValueError):
+        g.a[0] = 1.0
+    a[:] = 9.0  # the caller's array changes, the parameters do not
+    assert np.array_equal(g.a, [0.1, 0.2, 0.3, 0.4]) and g.alpha == 0.5

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpoincare.algebra import exp_ad
+from xpoincare.algebra import ETA, exp_ad
 from xpoincare.checks import suite_group_axioms
-from xpoincare.lorentz import (DecompositionError, rotation_matrix, trig_h,
-                               trig_s)
+from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
+                               rotation_matrix, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, compose, inverse
 from xpoincare.xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                                 dirac_generator5, omega_branch, omega_square,
@@ -253,3 +253,172 @@ def test_xl_inverse_closed_form():
         pi = inverse(GroupParams(xl=p)).xl
         assert np.abs(xl_matrix(pi) @ xl_matrix(p) - np.eye(5)).max() < 1e-10
         assert np.abs(xl_matrix(p) @ xl_matrix(pi) - np.eye(5)).max() < 1e-10
+
+
+# --- non-finite input, gate reachability, parameter contract -----------------
+
+@pytest.mark.parametrize("entry,value", [
+    ((4, 4), np.nan), ((4, 4), np.inf), (..., np.nan), ((0, 4), np.inf),
+    ((0, 0), np.nan), ((4, 0), np.nan), ((1, 1), -np.inf)],
+    ids=["gs-gs-nan", "gs-gs-inf", "all-nan", "p0-gs-inf", "p0-p0-nan", "gs-p0-nan",
+         "p1-p1-neginf"])
+def test_decompose_rejects_non_finite(entry, value):
+    # NaN used to pass every `res >= tol` gate: diag(1, 1, 1, 1, nan) came back
+    # as the identity and other entries escaped as ValueError from XLParams
+    M = np.eye(5)
+    M[entry] = value
+    with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="B-form"):
+        xl_decompose(M)
+
+
+@pytest.mark.parametrize("diag,message", [([1, 1, 1, -1, 1], "improper"),
+                                          ([-1, -1, 1, 1, 1], "orthochronous")])
+def test_decompose_lorentz_gates_are_reachable(diag, message):
+    # M preserves B exactly and is block diagonal, so only the det and M^0_0
+    # gates of the Lorentz block can reject it: the B-form gate does not imply them
+    M = np.diag(np.array(diag, dtype=float))
+    assert b_residual(M) == 0.0
+    with pytest.raises(DecompositionError, match=message):
+        xl_decompose(M)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("omega", [np.nan, 0.0, 0.0, 0.0]), ("omega", [0.0, np.inf, 0.0, 0.0]),
+    ("u", [0.0, 0.0, -np.inf]), ("theta", [np.nan] * 3),
+    ("omega", np.zeros(3)), ("u", np.zeros((3, 1))), ("theta", 0.0)])
+def test_xlparams_rejects_non_finite_and_wrong_shape(name, value):
+    with pytest.raises(ValueError, match=name):
+        XLParams(**{name: value})
+
+
+def test_xlparams_stores_read_only_copies():
+    given_ = {"omega": np.array([0.1, 0.2, 0.3, 0.4]),
+              "u": np.array([0.5, 0.6, 0.7]), "theta": np.array([0.1, -0.2, 0.3])}
+    p = XLParams(**given_)
+    for name, v in given_.items():
+        stored = getattr(p, name)
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0] = 1.0
+        before = stored.copy()
+        v[:] = 9.0  # the caller's array changes, the parameters do not
+        assert np.array_equal(getattr(p, name), before)
+
+
+# --- both sides of the branch cuts of the decomposition ----------------------
+# Inputs a few ulps on each side of each cut, built so that the cut quantity
+# is exact: a Gs column (-S e0, C) gives sphi = sqrt(S*S) = S, and a rotation
+# about e3 gives w = (0, 0, s) and c exactly.  Bound: the round trip
+# xl_matrix(xl_decompose(M)) - M runs about 20 rounded products of at most
+# 5 terms over factors bounded by |M|, so about 100 eps |M|^2; k = 128.
+# Near the trig branch point two cuts cost more, and K_NEAR_PI states why.
+
+ROUNDTRIP_K = 128
+# sphi = 1e-4: on the sine side s(-phi^2) = sin(phi)/phi is recomputed from
+# phi, whose sine near pi carries about 2 eps absolute, i.e. 2 eps / sphi =
+# 2e4 eps relative, and |omega| ~ pi scales it to about 6e4 eps; sphi = 1e-12:
+# below it the canonical direction replaces a direction known to O(sphi) =
+# 4.5e3 eps.  k = 2^17 leaves a factor 2 over the larger of the two.
+K_NEAR_PI = 2.0 ** 17
+CUT_ULPS = (1, 2, 4, 16)
+EPS = np.finfo(float).eps
+
+
+def _ulp_sides(x):
+    """(side, value) for values CUT_ULPS ulps below (-1) and above (+1) x."""
+    out = []
+    for k in CUT_ULPS:
+        lo, hi = x, x
+        for _ in range(k):
+            lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [(-1, float(lo)), (1, float(hi))]
+    return out
+
+
+def _roundtrip_in_eps(M):
+    res = np.abs(xl_matrix(xl_decompose(M)) - M).max()
+    return res / (EPS * max(1.0, np.abs(M).max() ** 2))
+
+
+def _gs_rotation(S, C, n):
+    """Dirac boost along the unit timelike n (eta(n, n) = -1) with Gs column
+    (-S n, C), written from the closed form with sin r = S, cos r = C."""
+    etan = ETA @ n
+    W = np.eye(5)
+    W[:4, :4] += (1.0 - C) * np.outer(n, etan)
+    W[:4, 4] = -S * n
+    W[4, :4] = -S * etan
+    W[4, 4] = C
+    return W
+
+
+def _lorentz_right_factors(rng, count):
+    yield np.eye(5)
+    for _ in range(count):
+        yield xl_matrix(XLParams(u=rng.normal(size=3), theta=rng.normal(size=3)))
+
+
+@pytest.mark.parametrize("cut", [1e-4, 1e-12])
+def test_omega_sphi_cuts_both_sides(cut):
+    # near pi (C < 0): sphi >= 1e-4 takes the sine branch, 1e-12 < sphi < 1e-4
+    # divides by the measured sphi, sphi <= 1e-12 takes the canonical direction
+    rng = np.random.default_rng(21)
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    for side, S in _ulp_sides(cut):
+        C = -math.sqrt(1.0 - S * S)
+        assert (math.sqrt(S * S) > cut) == (side > 0)
+        for n in (e0, trig_direction(rng)):
+            for F in _lorentz_right_factors(rng, 5):
+                assert _roundtrip_in_eps(_gs_rotation(S, C, n) @ F) < K_NEAR_PI
+
+
+def test_omega_phi_cut_both_sides():
+    # phi < 2.0 picks the small-angle end; at phi = 2 sphi = sin 2 > 1e-4, so
+    # both sides take the sine branch and must agree in accuracy
+    rng = np.random.default_rng(22)
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    sides = set()
+    for _, phi in _ulp_sides(2.0):
+        S, C = math.sin(phi), math.cos(phi)
+        sides.add(math.atan2(S, C) < 2.0)
+        for n in (e0, trig_direction(rng)):
+            for F in _lorentz_right_factors(rng, 5):
+                assert _roundtrip_in_eps(_gs_rotation(S, C, n) @ F) < ROUNDTRIP_K
+    assert sides == {True, False}
+
+
+def _rotation5(s, c, axis=None):
+    """diag(1, R3, 1), R3 the rotation with sine s and cosine c about the unit
+    axis (w = s * axis); about e3 when axis is None, with exact entries."""
+    M = np.eye(5)
+    if axis is None:
+        M[1:3, 1:3] = [[c, s], [-s, c]]
+        return M
+    x, y, z = axis
+    K = np.array([[0.0, z, -y], [-z, 0.0, x], [y, -x, 0.0]])
+    M[1:4, 1:4] = c * np.eye(3) + (1.0 - c) * np.outer(axis, axis) + s * K
+    return M
+
+
+@pytest.mark.parametrize("cut", ["s", "c"])
+def test_axis_angle_cut_both_sides(cut):
+    # the sine branch is taken when c > 0 or s >= 0.5.  On the far side
+    # (c < 0) the operative cut is s = 0.5.  c is rounded on the scale of the
+    # trace, so its cut is probed at multiples of eps, where the computed c is
+    # exact; there s ~ 1 and both sides take the sine branch.
+    rng = np.random.default_rng(23)
+    if cut == "s":
+        draws = [(x, -math.sqrt(1.0 - x * x)) for _, x in _ulp_sides(0.5)]
+    else:
+        draws = [(math.sqrt(1.0 - x * x), x) for k in CUT_ULPS for x in (-k * EPS, k * EPS)]
+    for s, c in draws:
+        M = _rotation5(s, c)
+        theta = axis_angle_of_rotation3(M[1:4, 1:4])
+        assert theta[2] == pytest.approx(math.atan2(s, c), rel=4 * EPS)
+        assert _roundtrip_in_eps(M) < ROUNDTRIP_K
+        for axis in rng.normal(size=(5, 3)):
+            M = _rotation5(s, c, axis / np.linalg.norm(axis))
+            left = xl_matrix(XLParams(omega=rand_omega(rng, "trig") * 0.5,
+                                      u=rng.normal(size=3)))
+            assert _roundtrip_in_eps(M) < ROUNDTRIP_K
+            assert _roundtrip_in_eps(left @ M) < ROUNDTRIP_K
