@@ -58,10 +58,6 @@ GENERATOR_NAMES = (
 )
 _NAME_TO_ORDINAL = {n: i for i, n in enumerate(GENERATOR_NAMES)}
 
-J_SLICE = slice(0, 3)
-K_SLICE = slice(3, 6)
-GAM_SLICE = slice(6, 10)
-P_SLICE = slice(10, 14)
 GS_INDEX = 14
 
 # Minkowski metric, mostly-plus.  Normative for the whole package.

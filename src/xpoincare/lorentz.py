@@ -143,9 +143,11 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     """Axis-angle vector of a 3x3 rotation in the exp(theta . J) convention.
 
     Canonical output: |theta| in [0, pi]; at |theta| = pi the axis sign is
-    normalized (first nonzero component positive).  The angle is recovered
-    from atan2 of the antisymmetric and trace parts, which stays accurate at
-    the pi branch point; there the axis comes from the symmetric part.
+    normalized (first nonzero component positive).  The angle is atan2 of
+    the antisymmetric part w = sin(phi) axis and the trace part, and theta is
+    w times angle over the measured sine |w|; the sine is never recomputed
+    from the angle.  The one special case is the rotation near pi, where w
+    is small and rounded: there the axis comes from the symmetric part.
     """
     R3 = np.asarray(R3, dtype=float)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R3.tolist()
@@ -158,7 +160,7 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     # the sine branch divides the rounding of w by s; below s = 0.5 on the
     # far side (c < 0) the symmetric part gives the better-conditioned axis
     if c > 0 or s >= 0.5:
-        return w / trig_s(-phi * phi)
+        return w * (phi / s) if s else w
     # near pi: axis^2 from the symmetric part, sign from w when resolvable
     nn = ((R3 + R3.T) / 2.0 - c * np.eye(3)) / (1.0 - c)
     i = int(np.argmax(np.diag(nn)))
@@ -186,7 +188,7 @@ def lorentz_decompose(M):
     """Recover (u, theta) with lorentz_matrix(u, theta) = M.
 
     Rejects input that is not a proper orthochronous Lorentz matrix:
-    metric residual >= METRIC_TOL, M^0_0 < 1, or det != +1.
+    metric residual >= METRIC_TOL, M^0_0 < 1 - 1e-9, or |det - 1| > 1e-6.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
@@ -195,17 +197,23 @@ def lorentz_decompose(M):
     if not res < METRIC_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")
+    # 1e-9: orthochronous M^0_0 is >= 1 and the other sheet's is <= -1; the
+    # margin forgives the rounding of an exact 1 (a pure rotation)
     if not M[0, 0] >= 1.0 - 1e-9:
         raise DecompositionError(
-            f"M^0_0 = {M[0, 0]:.6g} < 1: not orthochronous")
+            f"M^0_0 = {M[0, 0]:.17g} < 1 - 1e-9: not orthochronous")
     # R = L(-u) M has |R| ~ 1, so its cofactor determinant (= det M) rounds
     # like an LU of M; the cofactor of M itself would lose |M|^3 eps
     u = -M[1:, 0]
     R = boost_matrix(M[1:, 0]) @ M
     r = R.tolist()
     det = _det4(r)
+    # 1e-6: the passed metric gate already bounds ||det| - 1| near 2e-8
+    # (det^2 = 1 + tr(eta E) to first order, |E| < 1e-8): a pure sign test
     if not abs(det - 1.0) <= 1e-6:
-        raise DecompositionError(f"det = {det:.6g} != +1: improper")
+        raise DecompositionError(
+            f"det = {det:.17g}, |det - 1| > 1e-6: improper")
+    # 1e-7: the passed metric gate bounds this coupling near 1e-8; a backstop
     off = max(abs(r[0][1]), abs(r[0][2]), abs(r[0][3]), abs(r[1][0]),
               abs(r[2][0]), abs(r[3][0]), abs(r[0][0] - 1.0))
     if not off <= 1e-7:

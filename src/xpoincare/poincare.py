@@ -34,8 +34,8 @@ import numpy as np
 
 from .algebra import _F_FLOAT, EPS3, ETA
 from .lorentz import _ETA_DIAG, rapidity
-from .xlorentz import (_BDIAG, BFORM, XLParams, _xl_factors, xl_decompose,
-                       xl_matrix)
+from .xlorentz import (_BDIAG, BFORM, XLParams, _frozen_vector, _xl_factors,
+                       xl_decompose, xl_matrix)
 
 PARAM_NAMES = (
     "theta1", "theta2", "theta3", "u1", "u2", "u3",
@@ -53,13 +53,10 @@ class GroupParams:
     xl: XLParams = field(default_factory=XLParams)
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        if a.shape != (4,):
-            raise ValueError(f"a must have shape (4,), got {a.shape}")
+        a = _frozen_vector("a", self.a, 4)
         alpha = float(self.alpha)
-        if not (all(map(math.isfinite, a.tolist())) and math.isfinite(alpha)):
-            raise ValueError("parameters must be finite")
-        a.flags.writeable = False
+        if not math.isfinite(alpha):
+            raise ValueError("alpha must be finite")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "alpha", alpha)
 

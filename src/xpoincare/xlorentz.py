@@ -81,6 +81,18 @@ def dirac_boost_mat5(omega) -> np.ndarray:
                      s * w0, -s * w1, -s * w2, -s * w3, 1.0 + h * q]).reshape(5, 5)
 
 
+def _frozen_vector(name: str, value, n: int) -> np.ndarray:
+    """Read-only float copy of a parameter vector, checked for shape (n,)
+    and finiteness; `name` is the field named in the error message."""
+    v = np.array(value, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+    if not all(map(math.isfinite, v.tolist())):
+        raise ValueError(f"{name} must be finite")
+    v.flags.writeable = False
+    return v
+
+
 @dataclass(frozen=True)
 class XLParams:
     """Extended-Lorentz parameters (omega, u, theta) of W(omega) L(u) R(theta)."""
@@ -91,13 +103,7 @@ class XLParams:
 
     def __post_init__(self):
         for name, n in (("omega", 4), ("u", 3), ("theta", 3)):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-            if not all(map(math.isfinite, v.tolist())):
-                raise ValueError(f"{name} must be finite")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _frozen_vector(name, getattr(self, name), n))
 
     @classmethod
     def identity(cls) -> "XLParams":
@@ -126,34 +132,24 @@ def b_residual(M) -> float:
 def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
     """Invert (-s(q) omega, c(q)) for omega; canonical trig range [0, pi].
 
-    The magnitude is recovered from the sine side (pseudo-norm of the P part
-    via arcsinh / atan2), which stays accurate where arccos/arccosh lose
-    digits.  Near the trig branch point r = pi the column carries no usable
-    direction; the direction is then taken from the vanishing P part when it
-    has signal and from a canonical unit direction at the exact point, which
-    is valid because at r = pi the residual factor is absorbed into the
-    Lorentz block.
+    One rule on every branch: angle over the measured sine.  The P part
+    vP = -s(q) omega has pseudo-norm sq = sqrt|qv|, which is sin r (trig) or
+    sinh chi (hyperbolic); the angle is atan2(sq, c) or asinh(sq), and
+    omega = -(angle / sq) vP, with angle / sq -> 1 on the null cone.  The
+    sine is never recomputed from the angle.  The one special case is the
+    trig branch point r = pi, where the P part is rounding and carries no
+    direction: a canonical unit direction is taken there, which is valid
+    because at r = pi the residual factor is absorbed into the Lorentz block.
     """
     vP = v[:4]
     v0, v1, v2, v3, c = v.tolist()
     qv = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3  # = -sin^2 r (trig), +sinh^2 chi (hyp.)
-    if qv > 0.0 and c > 1.0:
-        chi = math.asinh(math.sqrt(qv))
-        return -vP / trig_s(chi * chi)
-    if qv < 0.0:
-        sphi = math.sqrt(-qv)
-        phi = math.atan2(sphi, c)
-        # 1e-4: s(-phi^2) recomputed from phi is good to pi eps / sphi (7e-12 here);
-        # 2.0: any cut in (1e-4, pi - 1e-4) keeps the small-angle end on this branch
-        if sphi >= 1e-4 or phi < 2.0:
-            return -vP / trig_s(-phi * phi)
-        # 1e-12: below it the P part is rounding and carries no direction
-        if sphi > 1e-12:
-            return -phi * vP / sphi
-        return np.array([phi, 0.0, 0.0, 0.0])
-    # |q| ~ 0: s ~ 1, one self-consistency refinement of q = qv / s(q)^2
-    q = qv / trig_s(qv) ** 2
-    return -vP / trig_s(q)
+    sq = math.sqrt(abs(qv))
+    # 1e-12: below it, on the far side, the P part is rounding and has no direction
+    if sq <= 1e-12 and c < 0.0:
+        return np.array([math.atan2(sq, c), 0.0, 0.0, 0.0])
+    ang = math.atan2(sq, c) if qv < 0.0 else math.asinh(sq)
+    return -vP if sq == 0.0 else -(ang / sq) * vP
 
 
 def xl_decompose(M) -> XLParams:

@@ -11,7 +11,7 @@ from xpoincare.lorentz import (_SERIES_WINDOW, DecompositionError,
                                metric_residual, rapidity, rotation_generators,
                                rotation_matrix, trig_c, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
-from xpoincare.xlorentz import XLParams
+from xpoincare.xlorentz import XLParams, xl_decompose
 
 coords = st.floats(-1.5, 1.5, allow_nan=False)
 u_vectors = st.tuples(coords, coords, coords).map(np.array)
@@ -233,6 +233,35 @@ def test_decompose_rejections():
         lorentz_decompose(np.eye(4) * 1.5)
     with pytest.raises(DecompositionError, match="4x4"):
         lorentz_decompose(np.eye(3))
+
+
+M00_CUT = 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("ulps", [1, 2, 4, 16])
+@pytest.mark.parametrize("dim", [4, 5])
+def test_decompose_m00_cut_both_sides(dim, ulps):
+    # diag(m, 1, 1, 1[, 1]) passes the metric (B-form) gate, |m^2 - 1| ~ 2e-9,
+    # so the M^0_0 >= 1 - 1e-9 gate alone decides; the message prints m
+    # exactly (`:.6g` printed "M^0_0 = 1 < 1") and names the bound
+    decompose = lorentz_decompose if dim == 4 else xl_decompose
+    lo, hi = M00_CUT, M00_CUT
+    for _ in range(ulps):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)
+    with pytest.raises(DecompositionError, match="orthochronous") as info:
+        decompose(np.diag([lo] + [1.0] * (dim - 1)))
+    message = str(info.value)
+    assert "1 - 1e-9" in message
+    assert float(message.split("= ")[1].split(" <")[0]) == lo
+    out = decompose(np.diag([hi] + [1.0] * (dim - 1)))
+    u, theta = out if dim == 4 else (out.u, out.theta)
+    assert not np.any(u) and not np.any(theta)
+
+
+def test_decompose_det_message_prints_the_value():
+    with pytest.raises(DecompositionError, match="improper") as info:
+        lorentz_decompose(np.diag([1.0, -1.0, 1.0, 1.0]))
+    assert "det = -1, |det - 1| > 1e-6" in str(info.value)
 
 
 def test_decompose_accepts_large_boosts():

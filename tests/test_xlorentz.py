@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import ETA, exp_ad
-from xpoincare.checks import suite_group_axioms
+from xpoincare.checks import sample_omega, suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
-                               rotation_matrix, trig_h, trig_s)
+                               boost_matrix, rotation_matrix, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, compose, inverse
 from xpoincare.xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                                 dirac_generator5, omega_branch, omega_square,
@@ -98,6 +98,69 @@ def test_dirac_boost_matches_generator_form():
         g, q = dirac_generator5(omega), omega_square(omega)
         ref = np.eye(5) + trig_s(q) * g + trig_h(q) * (g @ g)
         assert np.abs(dirac_boost_mat5(omega) - ref).max() < 8 * eps * np.abs(ref).max()
+
+
+def _mp_factor(mp, name, x):
+    """R, L or W from its closed form at the working precision of mp, from
+    the exact values of the float64 parameters x."""
+    x = [mp.mpf(float(v)) for v in x]
+    if name == "L":
+        u0 = mp.sqrt(1 + sum(v * v for v in x))
+        m = mp.eye(4)
+        m[0, 0] = u0
+        for i in range(3):
+            m[0, i + 1] = m[i + 1, 0] = -x[i]
+            for j in range(3):
+                m[i + 1, j + 1] += x[i] * x[j] / (1 + u0)
+        return m
+    if name == "R":  # 1 + s a + h a^2, a = theta . J
+        g, q = mp.zeros(4, 4), -sum(v * v for v in x)
+        g[1, 2], g[2, 3], g[3, 1] = x[2], x[0], x[1]
+        g[2, 1], g[3, 2], g[1, 3] = -x[2], -x[0], -x[1]
+    else:  # W: 1 + s g + h g^2, g = dirac_generator5(omega)
+        g, q = mp.zeros(5, 5), sum(v * v for v in x[1:]) - x[0] * x[0]
+        for i in range(4):
+            g[i, 4], g[4, i] = -x[i], (x[i] if i == 0 else -x[i])
+    if q == 0:
+        s, h = mp.mpf(1), mp.mpf(1) / 2
+    else:
+        r = mp.sqrt(abs(q))
+        c, s = (mp.cosh(r), mp.sinh(r) / r) if q > 0 else (mp.cos(r), mp.sin(r) / r)
+        h = (c - 1) / q
+    return mp.eye(g.rows) + s * g + h * g * g
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("W", "trig"), ("W", "hyperbolic"), ("W", "null"), ("W", "near-pi"),
+    ("R", "rotation"), ("L", "boost")])
+def test_factor_matrices_match_mpmath(name, kind):
+    # Bound 16 eps max(1, max|ref|): every entry is at most 1 plus a coefficient
+    # (s or h, each within 4 eps times its condition number of the truth, see
+    # test_trig_coefficients_match_mpmath) times at most two parameters, so
+    # about four roundings on the scale of the matrix.  Near r = pi the
+    # relative condition of s is large but its absolute error stays about
+    # eps, and s multiplies entries far below max|W|.  Worst seen: 6 eps.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(26)
+    build = {"W": dirac_boost_mat5, "R": rotation_matrix, "L": boost_matrix}[name]
+    for i in range(40):
+        if kind == "near-pi":
+            x = trig_direction(rng) * (math.pi - (0.0, 1e-12, 1e-6, 1e-3)[i % 4])
+        elif kind == "rotation":
+            x = rng.normal(size=3)
+            x *= (math.pi if i == 0 else rng.uniform(0.0, math.pi)) / np.linalg.norm(x)
+        elif kind == "boost":
+            x = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
+        else:
+            x = sample_omega(rng, kind)
+        got = build(x)
+        with mp.workdps(40):
+            ref = _mp_factor(mp, name, x)
+            n = got.shape[0]
+            scale = max(1, max(abs(ref[j, k]) for j in range(n) for k in range(n)))
+            err = max(abs(mp.mpf(float(got[j, k])) - ref[j, k])
+                      for j in range(n) for k in range(n))
+            assert err <= 16 * EPS * scale, (x, float(err / scale / EPS))
 
 
 def test_dirac_generator_structure():
@@ -311,14 +374,12 @@ def test_xlparams_stores_read_only_copies():
 # about e3 gives w = (0, 0, s) and c exactly.  Bound: the round trip
 # xl_matrix(xl_decompose(M)) - M runs about 20 rounded products of at most
 # 5 terms over factors bounded by |M|, so about 100 eps |M|^2; k = 128.
-# Near the trig branch point two cuts cost more, and K_NEAR_PI states why.
+# At the trig branch point the cut sphi = 1e-12 costs more, and K_NEAR_PI
+# states why.
 
 ROUNDTRIP_K = 128
-# sphi = 1e-4: on the sine side s(-phi^2) = sin(phi)/phi is recomputed from
-# phi, whose sine near pi carries about 2 eps absolute, i.e. 2 eps / sphi =
-# 2e4 eps relative, and |omega| ~ pi scales it to about 6e4 eps; sphi = 1e-12:
-# below it the canonical direction replaces a direction known to O(sphi) =
-# 4.5e3 eps.  k = 2^17 leaves a factor 2 over the larger of the two.
+# sphi = 1e-12: below it the canonical direction replaces a direction known
+# to O(sphi) = 4.5e3 eps; k = 2^17 leaves a wide margin (worst seen 826).
 K_NEAR_PI = 2.0 ** 17
 CUT_ULPS = (1, 2, 4, 16)
 EPS = np.finfo(float).eps
@@ -360,8 +421,11 @@ def _lorentz_right_factors(rng, count):
 
 @pytest.mark.parametrize("cut", [1e-4, 1e-12])
 def test_omega_sphi_cuts_both_sides(cut):
-    # near pi (C < 0): sphi >= 1e-4 takes the sine branch, 1e-12 < sphi < 1e-4
-    # divides by the measured sphi, sphi <= 1e-12 takes the canonical direction
+    # near pi (C < 0) sphi > 1e-12 divides by the measured sphi and sphi <=
+    # 1e-12 takes the canonical direction.  sphi = 1e-4 was the cut of a
+    # deleted branch that divided by a sine recomputed from phi and reached
+    # 2.8e4 eps |M|^2 just above it; both of its sides now meet ROUNDTRIP_K.
+    k = ROUNDTRIP_K if cut == 1e-4 else K_NEAR_PI
     rng = np.random.default_rng(21)
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     for side, S in _ulp_sides(cut):
@@ -369,12 +433,12 @@ def test_omega_sphi_cuts_both_sides(cut):
         assert (math.sqrt(S * S) > cut) == (side > 0)
         for n in (e0, trig_direction(rng)):
             for F in _lorentz_right_factors(rng, 5):
-                assert _roundtrip_in_eps(_gs_rotation(S, C, n) @ F) < K_NEAR_PI
+                assert _roundtrip_in_eps(_gs_rotation(S, C, n) @ F) < k
 
 
 def test_omega_phi_cut_both_sides():
-    # phi < 2.0 picks the small-angle end; at phi = 2 sphi = sin 2 > 1e-4, so
-    # both sides take the sine branch and must agree in accuracy
+    # phi = 2.0 was the cut between two deleted branches; both sides now take
+    # the one rule, angle over the measured sine, and must meet ROUNDTRIP_K
     rng = np.random.default_rng(22)
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     sides = set()
@@ -385,6 +449,52 @@ def test_omega_phi_cut_both_sides():
             for F in _lorentz_right_factors(rng, 5):
                 assert _roundtrip_in_eps(_gs_rotation(S, C, n) @ F) < ROUNDTRIP_K
     assert sides == {True, False}
+
+
+def _omega_recovery_in_eps(omega, rng):
+    """Worst round trip (in eps max(1, |M|^2)) and worst relative error of
+    the recovered omega, over W(omega) times Lorentz right factors."""
+    worst_rt = worst_omega = 0.0
+    for F in _lorentz_right_factors(rng, 5):
+        M = dirac_boost_mat5(omega) @ F
+        err = np.abs(xl_decompose(M).omega - omega).max() / np.abs(omega).max()
+        worst_rt = max(worst_rt, _roundtrip_in_eps(M))
+        worst_omega = max(worst_omega, err / EPS)
+    return worst_rt, worst_omega
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-9, -1e-9, 1e-12, -1e-12])
+def test_omega_null_columns(offset):
+    # near-null omega, with the time component offset as in checks.sample_omega;
+    # the angle over the measured sine tends to 1 on the null cone from both sides
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        v = rng.normal(size=3)
+        omega = np.concatenate([[np.linalg.norm(v) * (1.0 + offset)], v])
+        omega *= rng.uniform(0.1, 2.0)
+        rt, rel = _omega_recovery_in_eps(omega, rng)
+        assert rt < ROUNDTRIP_K and rel < ROUNDTRIP_K
+
+
+@pytest.mark.parametrize("size", [1e-9, 1e-8])
+@pytest.mark.parametrize("kind", ["hyperbolic", "trig"])
+def test_omega_tiny_columns(kind, size):
+    # |omega| so small that c(q) rounds to exactly 1.0
+    rng = np.random.default_rng(25)
+    for _ in range(20):
+        omega = rand_omega(rng, kind)
+        omega *= size / np.abs(omega).max()
+        assert dirac_boost_mat5(omega)[4, 4] == 1.0
+        rt, rel = _omega_recovery_in_eps(omega, rng)
+        assert rt < ROUNDTRIP_K and rel < ROUNDTRIP_K
+
+
+def test_decompose_exact_trig_branch_point():
+    # W(pi e0) is exactly diag(-1, 1, 1, 1, -1): its P part is exactly zero
+    M = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0])
+    p = xl_decompose(M)
+    assert np.array_equal(p.omega, [math.pi, 0.0, 0.0, 0.0])
+    assert _roundtrip_in_eps(M) < ROUNDTRIP_K
 
 
 def _rotation5(s, c, axis=None):
