@@ -20,10 +20,9 @@ from .lorentz import (DecompositionError, axis_angle_of_rotation3,
 from .xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                        dirac_generator5, omega_branch, omega_square,
                        xl_decompose, xl_matrix)
-from .poincare import (AffineRep, GroupParams, PARAM_NAMES, compose,
-                       compose_via_affine, from_affine, inverse, oplus,
-                       params_to_vector, theta_claimed_mask, theta_closed,
-                       theta_numeric, to_affine, translation_action,
-                       vector_to_params)
+from .poincare import (AffineRep, GroupParams, compose, compose_via_affine,
+                       from_affine, inverse, oplus, params_to_vector,
+                       theta_claimed_mask, theta_closed, theta_numeric,
+                       to_affine, translation_action, vector_to_params)
 
 __version__ = "0.1.0"

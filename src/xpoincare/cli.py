@@ -6,7 +6,8 @@ Group elements travel as JSON documents
     {"alpha": 0.0, "a": [0,0,0,0], "omega": [0,0,0,0], "u": [0,0,0],
      "theta": [0,0,0]}
 
-with missing fields defaulting to zero; NaN and infinities are rejected.
+with missing fields defaulting to zero.  Values must be JSON numbers (true and
+"1" are not); lengths and finiteness are checked by GroupParams and XLParams.
 Exit codes: 0 success, 2 parse error, 3 decomposition outside the reachable
 set, 4 property failure in `check`.
 
@@ -27,11 +28,11 @@ from .algebra import (GENERATOR_NAMES, table_from_json_obj, table_to_csv,
 from .checks import SUITE_NAMES, element_doc, run_suite
 from .lorentz import DecompositionError
 from .poincare import GroupParams, compose, inverse, oplus, theta_closed, theta_numeric
-from .xlorentz import XLParams, xl_decompose
+from .xlorentz import XLParams, _frozen_array, xl_decompose
 
 PARSE_ERROR, UNREACHABLE, PROPERTY_FAILURE = 2, 3, 4
 
-_FIELDS = {"alpha": None, "a": 4, "omega": 4, "u": 3, "theta": 3}
+_FIELDS = ("alpha", "a", "omega", "u", "theta")
 
 
 class ParseError(ValueError):
@@ -85,36 +86,34 @@ def _print(obj):
 
 # --- element documents --------------------------------------------------------
 
+def _is_number(x) -> bool:
+    """A JSON number; bool is an int subclass, and true must not pass as 1.0."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_number_list(x) -> bool:
+    return isinstance(x, list) and all(map(_is_number, x))
+
+
 def parse_element_obj(obj) -> GroupParams:
+    """GroupParams from a parsed element document.  Only the JSON types are
+    checked here; lengths, finiteness and the zero defaults are the rules of
+    GroupParams and XLParams, whose rejections become a ParseError."""
     if not isinstance(obj, dict):
         raise ParseError("element document must be a JSON object")
     unknown = set(obj) - set(_FIELDS)
     if unknown:
         raise ParseError(f"unknown element fields: {sorted(unknown)}")
-    vals = {}
-    for name, length in _FIELDS.items():
-        if name not in obj:
-            vals[name] = 0.0 if length is None else [0.0] * length
-            continue
-        v = obj[name]
-        if length is None:
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise ParseError(f"field '{name}' must be a number")
-            if not np.isfinite(v):
-                raise ParseError(f"field '{name}' must be finite")
-            vals[name] = float(v)
-        else:
-            if (not isinstance(v, list) or len(v) != length
-                    or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                           for x in v)):
-                raise ParseError(f"field '{name}' must be a list of {length} numbers")
-            if not all(np.isfinite(x) for x in v):
-                raise ParseError(f"field '{name}' must be finite")
-            vals[name] = [float(x) for x in v]
-    return GroupParams(alpha=vals["alpha"], a=np.array(vals["a"]),
-                       xl=XLParams(omega=np.array(vals["omega"]),
-                                   u=np.array(vals["u"]),
-                                   theta=np.array(vals["theta"])))
+    for name, v in obj.items():
+        if name == "alpha" and not _is_number(v):
+            raise ParseError("field 'alpha' must be a number")
+        if name != "alpha" and not _is_number_list(v):
+            raise ParseError(f"field '{name}' must be a list of numbers")
+    try:
+        xl = XLParams(**{k: v for k, v in obj.items() if k not in ("alpha", "a")})
+        return GroupParams(xl=xl, **{k: v for k, v in obj.items() if k in ("alpha", "a")})
+    except ValueError as exc:
+        raise ParseError(f"field {exc}") from exc
 
 
 def load_element(path: str) -> GroupParams:
@@ -179,13 +178,9 @@ def cmd_decompose(args) -> int:
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("matrix document must be an object with a 'matrix' field")
     m = obj["matrix"]
-    if (not isinstance(m, list) or len(m) != 5
-            or any(not isinstance(r, list) or len(r) != 5 for r in m)):
-        raise ParseError("'matrix' must be a 5x5 array of numbers")
-    arr = np.array(m, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ParseError("'matrix' must be finite")
-    p = xl_decompose(arr)
+    if not (isinstance(m, list) and all(map(_is_number_list, m))):
+        raise ParseError("field 'matrix' must be a list of lists of numbers")
+    p = xl_decompose(_frozen_array("matrix", m, (5, 5)))
     _print(element_doc(GroupParams(xl=p)))
     return 0
 
@@ -264,9 +259,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNREACHABLE

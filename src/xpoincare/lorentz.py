@@ -29,19 +29,12 @@ class DecompositionError(ValueError):
 
 
 # --- analytic scalar coefficients -----------------------------------------
-# c(q), s(q), h(q) are cos/ sinc/ versine-like functions of the signed
-# squared angle q: trig for q < 0, hyperbolic for q > 0, entire in q.
+# s(q), h(q) are sinc/ versine-like functions of the signed squared angle q
+# (the cosine is c = 1 + q h): trig for q < 0, hyperbolic for q > 0, entire in q.
 # Series taken below |q| = 1e-3, which covers r = sqrt|q| -> 0; truncation
 # error there is < 1e-18.  Above it h uses the half-angle form.
 
 _SERIES_WINDOW = 1e-3
-
-
-def trig_c(q: float) -> float:
-    if abs(q) < _SERIES_WINDOW:
-        return 1.0 + q * (1 / 2 + q * (1 / 24 + q * (1 / 720 + q / 40320)))
-    r = math.sqrt(abs(q))
-    return math.cosh(r) if q > 0 else math.cos(r)
 
 
 def trig_s(q: float) -> float:
@@ -188,7 +181,9 @@ def lorentz_decompose(M):
     """Recover (u, theta) with lorentz_matrix(u, theta) = M.
 
     Rejects input that is not a proper orthochronous Lorentz matrix:
-    metric residual >= METRIC_TOL, M^0_0 < 1 - 1e-9, or |det - 1| > 1e-6.
+    metric residual >= METRIC_TOL, M^0_0 <= 0, or det <= 0.  A passed metric
+    gate leaves |M^0_0| >= 1 - 5e-9 and ||det| - 1| near 2e-8 at most, so
+    only the two signs are left to test.
     """
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
@@ -197,22 +192,17 @@ def lorentz_decompose(M):
     if not res < METRIC_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")
-    # 1e-9: orthochronous M^0_0 is >= 1 and the other sheet's is <= -1; the
-    # margin forgives the rounding of an exact 1 (a pure rotation)
-    if not M[0, 0] >= 1.0 - 1e-9:
-        raise DecompositionError(
-            f"M^0_0 = {M[0, 0]:.17g} < 1 - 1e-9: not orthochronous")
+    if not M[0, 0] > 0.0:
+        raise DecompositionError(f"M^0_0 = {M[0, 0]:.17g} <= 0: not orthochronous")
     # R = L(-u) M has |R| ~ 1, so its cofactor determinant (= det M) rounds
     # like an LU of M; the cofactor of M itself would lose |M|^3 eps
     u = -M[1:, 0]
     R = boost_matrix(M[1:, 0]) @ M
     r = R.tolist()
     det = _det4(r)
-    # 1e-6: the passed metric gate already bounds ||det| - 1| near 2e-8
-    # (det^2 = 1 + tr(eta E) to first order, |E| < 1e-8): a pure sign test
-    if not abs(det - 1.0) <= 1e-6:
-        raise DecompositionError(
-            f"det = {det:.17g}, |det - 1| > 1e-6: improper")
+    # det^2 = 1 + tr(eta E) to first order, |E| < 1e-8: a sign test suffices
+    if not det > 0.0:
+        raise DecompositionError(f"det = {det:.17g} <= 0: improper")
     # 1e-7: the passed metric gate bounds this coupling near 1e-8; a backstop
     off = max(abs(r[0][1]), abs(r[0][2]), abs(r[0][3]), abs(r[1][0]),
               abs(r[2][0]), abs(r[3][0]), abs(r[0][0] - 1.0))

@@ -34,14 +34,8 @@ import numpy as np
 
 from .algebra import _F_FLOAT, EPS3, ETA
 from .lorentz import _ETA_DIAG, rapidity
-from .xlorentz import (_BDIAG, BFORM, XLParams, _frozen_vector, _xl_factors,
+from .xlorentz import (_BDIAG, BFORM, XLParams, _frozen_array, _xl_factors,
                        xl_decompose, xl_matrix)
-
-PARAM_NAMES = (
-    "theta1", "theta2", "theta3", "u1", "u2", "u3",
-    "omega0", "omega1", "omega2", "omega3",
-    "a0", "a1", "a2", "a3", "alpha",
-)
 
 
 @dataclass(frozen=True)
@@ -53,8 +47,11 @@ class GroupParams:
     xl: XLParams = field(default_factory=XLParams)
 
     def __post_init__(self):
-        a = _frozen_vector("a", self.a, 4)
-        alpha = float(self.alpha)
+        a = _frozen_array("a", self.a, (4,))
+        try:
+            alpha = float(self.alpha)
+        except OverflowError:  # an int beyond the float range
+            alpha = math.inf
         if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
         object.__setattr__(self, "a", a)
@@ -91,14 +88,8 @@ class AffineRep:
     t: np.ndarray
 
     def __post_init__(self):
-        M = np.asarray(self.M, dtype=float).copy()
-        t = np.asarray(self.t, dtype=float).copy()
-        if M.shape != (5, 5) or t.shape != (5,):
-            raise ValueError("AffineRep needs a 5x5 matrix and a 5-vector")
-        M.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "M", _frozen_array("M", self.M, (5, 5)))
+        object.__setattr__(self, "t", _frozen_array("t", self.t, (5,)))
 
 
 def _translation(g: GroupParams) -> np.ndarray:
@@ -236,18 +227,16 @@ def theta_numeric(g: GroupParams) -> np.ndarray:
     return out
 
 
-def theta_claimed_mask() -> np.ndarray:
-    """True where theta_closed makes a claim (everything outside the 10x10
-    extended-Lorentz block, whose entries have no closed form here)."""
-    m = np.ones((15, 15), dtype=bool)
-    m[:10, :10] = False
-    return m
-
-
 _THETA_FIXED = np.full((15, 15), np.nan)  # the entries of theta_closed free of g
 _THETA_FIXED[:, 10:] = _THETA_FIXED[10:, :10] = 0.0
 _THETA_FIXED[10:, 10:] = np.eye(5)        # a^b row, a^m col: delta; alpha-alpha: 1
 _THETA_FIXED.flags.writeable = False
+
+
+def theta_claimed_mask() -> np.ndarray:
+    """True where theta_closed makes a claim (everything outside the 10x10
+    extended-Lorentz block, whose entries have no closed form here)."""
+    return ~np.isnan(_THETA_FIXED)
 
 
 def theta_closed(g: GroupParams) -> np.ndarray:

@@ -81,13 +81,18 @@ def dirac_boost_mat5(omega) -> np.ndarray:
                      s * w0, -s * w1, -s * w2, -s * w3, 1.0 + h * q]).reshape(5, 5)
 
 
-def _frozen_vector(name: str, value, n: int) -> np.ndarray:
-    """Read-only float copy of a parameter vector, checked for shape (n,)
-    and finiteness; `name` is the field named in the error message."""
-    v = np.array(value, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-    if not all(map(math.isfinite, v.tolist())):
+def _frozen_array(name: str, value, shape: tuple) -> np.ndarray:
+    """Read-only float copy of a parameter array, checked for `shape` and
+    finiteness; every rejection is a ValueError naming the field `name`."""
+    try:
+        v = np.array(value, dtype=float)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{name} must be finite") from None
+    except (TypeError, ValueError):  # ragged nesting, a string, a dict
+        raise ValueError(f"{name} must be a float array of shape {shape}") from None
+    if v.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
+    if not all(map(math.isfinite, v.ravel().tolist())):
         raise ValueError(f"{name} must be finite")
     v.flags.writeable = False
     return v
@@ -103,7 +108,7 @@ class XLParams:
 
     def __post_init__(self):
         for name, n in (("omega", 4), ("u", 3), ("theta", 3)):
-            object.__setattr__(self, name, _frozen_vector(name, getattr(self, name), n))
+            object.__setattr__(self, name, _frozen_array(name, getattr(self, name), (n,)))
 
     @classmethod
     def identity(cls) -> "XLParams":

@@ -4,9 +4,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from xpoincare.cli import canonical_json, main, parse_element_obj
+from xpoincare.cli import ParseError, canonical_json, main, parse_element_obj
 from xpoincare.checks import element_doc
+from xpoincare.poincare import GroupParams
 from xpoincare.xlorentz import dirac_boost_mat5
 
 
@@ -39,9 +41,78 @@ def test_parse_defaults_and_roundtrip():
     [1, 2, 3],
 ])
 def test_parse_rejections(doc):
-    from xpoincare.cli import ParseError
     with pytest.raises(ParseError):
         parse_element_obj(doc)
+
+
+_numbers = st.one_of(st.floats(), st.integers(), st.integers(2 ** 1024, 2 ** 1100),
+                     st.integers(-2 ** 1100, -2 ** 1024))
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.text(max_size=3), _numbers),
+    lambda kids: st.one_of(st.lists(kids, max_size=5),
+                           st.dictionaries(st.text(max_size=3), kids, max_size=3)),
+    max_leaves=12)
+_element_docs = st.dictionaries(
+    st.sampled_from(["alpha", "a", "omega", "u", "theta"]) | st.text(max_size=3),
+    st.one_of(_numbers, st.lists(_numbers, max_size=5), _json_values), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_json_values, _element_docs))
+def test_parse_element_obj_returns_params_or_parse_error(obj):
+    # arbitrary JSON values: nested lists and dicts, ints beyond 2^1024,
+    # bools, strings, NaN/inf and wrong lengths; nothing but a finite
+    # GroupParams or a ParseError comes out
+    try:
+        g = parse_element_obj(obj)
+    except ParseError:
+        return
+    assert isinstance(g, GroupParams)
+    assert np.isfinite(g.alpha) and all(
+        np.isfinite(v).all() for v in (g.a, g.xl.omega, g.xl.u, g.xl.theta))
+
+
+_BIG = "1" + "0" * 399  # a 400-digit JSON integer, beyond the float range
+
+
+@pytest.mark.parametrize("text,field", [
+    ('{"alpha": %s}' % _BIG, "alpha"), ('{"a": [%s, 0, 0, 0]}' % _BIG, "a"),
+    ('{"u": [0, -%s, 0]}' % _BIG, "u"), ('{"alpha": true}', "alpha"),
+    ('{"theta": [0, false, 0]}', "theta"), ('{"alpha": "1"}', "alpha"),
+    ('{"omega": [0, 0, "1", 0]}', "omega"), ('{"alpha": NaN}', "alpha"),
+    ('{"a": [0, 0, Infinity, 0]}', "a"), ('{"omega": [0, 0, 0]}', "omega"),
+    ('{"theta": [0, 0, 0, 0]}', "theta"), ('{"u": [[0], [0], [0]]}', "u"),
+    ('{"a": {"0": 1}}', "a")], ids=lambda v: v.replace(_BIG, "1e399"))
+def test_malformed_element_exits_2_naming_the_field(tmp_path, capsys, text, field):
+    path = tmp_path / "e.json"
+    path.write_text(text)
+    assert main(["invert", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and field in err
+
+
+def _matrix_text(entry):
+    rows = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+    rows[2][3] = entry
+    return "[%s]" % ", ".join("[%s]" % ", ".join(r) for r in rows)
+
+
+_MATRICES = {
+    "big-int": _matrix_text(_BIG), "string": _matrix_text('"1"'),
+    "true": _matrix_text("true"), "nan": _matrix_text("NaN"),
+    "neg-inf": _matrix_text("-Infinity"), "nested": _matrix_text("[1]"),
+    "null": _matrix_text("null"), "2x2": "[[1, 0], [0, 1]]",
+    "ragged": "[%s, [1, 1, 1, 1]]" % ", ".join(["[1, 1, 1, 1, 1]"] * 4),
+    "flat": "[1, 2, 3, 4, 5]", "empty": "[]", "not-a-list": '"eye"'}
+
+
+@pytest.mark.parametrize("matrix", list(_MATRICES.values()), ids=list(_MATRICES))
+def test_malformed_matrix_exits_2_naming_the_field(tmp_path, capsys, matrix):
+    path = tmp_path / "m.json"
+    path.write_text('{"matrix": %s}' % matrix)
+    assert main(["decompose", "--matrix", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "matrix" in err
 
 
 def test_compose_command(tmp_path):

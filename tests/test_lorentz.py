@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import ETA
-from xpoincare.lorentz import (_SERIES_WINDOW, DecompositionError,
+from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
                                axis_angle_of_rotation3, boost_generators,
                                boost_matrix, lorentz_decompose, lorentz_matrix,
                                metric_residual, rapidity, rotation_generators,
-                               rotation_matrix, trig_c, trig_h, trig_s)
+                               rotation_matrix, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
-from xpoincare.xlorentz import XLParams, xl_decompose
+from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
 
 coords = st.floats(-1.5, 1.5, allow_nan=False)
 u_vectors = st.tuples(coords, coords, coords).map(np.array)
@@ -46,7 +46,7 @@ def test_trig_coefficients_match_mpmath():
                 "h": (c - 1) / q}[name]
 
     with mp.workdps(40):
-        for name, fn in (("c", trig_c), ("s", trig_s), ("h", trig_h)):
+        for name, fn in (("s", trig_s), ("h", trig_h)):
             for q in qs:
                 ref = exact(name, mp.mpf(q))
                 # relative condition number |q f'/f|: s at q = -10 sits near
@@ -235,33 +235,50 @@ def test_decompose_rejections():
         lorentz_decompose(np.eye(3))
 
 
-M00_CUT = 1.0 - 1e-9
+def _metric_gate_edge():
+    """Smallest m for which diag(m, 1, 1, 1) passes the metric gate,
+    1 - m^2 < METRIC_TOL: near sqrt(1 - 1e-8) = 1 - 5e-9."""
+    m = math.sqrt(1.0 - METRIC_TOL)
+    while metric_residual(np.diag([m, 1.0, 1.0, 1.0])) < METRIC_TOL:
+        m = float(np.nextafter(m, 0.0))
+    return float(np.nextafter(m, 2.0))
 
 
 @pytest.mark.parametrize("ulps", [1, 2, 4, 16])
 @pytest.mark.parametrize("dim", [4, 5])
 def test_decompose_m00_cut_both_sides(dim, ulps):
-    # diag(m, 1, 1, 1[, 1]) passes the metric (B-form) gate, |m^2 - 1| ~ 2e-9,
-    # so the M^0_0 >= 1 - 1e-9 gate alone decides; the message prints m
-    # exactly (`:.6g` printed "M^0_0 = 1 < 1") and names the bound
-    decompose = lorentz_decompose if dim == 4 else xl_decompose
-    lo, hi = M00_CUT, M00_CUT
+    # M^0_0 is cut at 0, so on diag(m, 1, 1, 1[, 1]) the metric (B-form) gate
+    # alone decides: m from its edge (near 1 - 5e-9) up decomposes, m below
+    # the edge fails that gate, and -m, on the other sheet, fails the sign
+    # test, whose message prints M^0_0 exactly
+    decompose, residual = ((lorentz_decompose, metric_residual) if dim == 4
+                           else (xl_decompose, b_residual))
+    lo = hi = _metric_gate_edge()
     for _ in range(ulps):
-        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, 2.0)
-    with pytest.raises(DecompositionError, match="orthochronous") as info:
-        decompose(np.diag([lo] + [1.0] * (dim - 1)))
-    message = str(info.value)
-    assert "1 - 1e-9" in message
-    assert float(message.split("= ")[1].split(" <")[0]) == lo
-    out = decompose(np.diag([hi] + [1.0] * (dim - 1)))
+        lo = float(np.nextafter(lo, 0.0))
+    for _ in range(ulps - 1):
+        hi = float(np.nextafter(hi, 2.0))
+
+    def diag(m):
+        return np.diag([m] + [1.0] * (dim - 1))
+
+    with pytest.raises(DecompositionError, match="residual") as info:
+        decompose(diag(lo))
+    assert f"residual {residual(diag(lo)):.3e} exceeds" in str(info.value)
+    out = decompose(diag(hi))
     u, theta = out if dim == 4 else (out.u, out.theta)
     assert not np.any(u) and not np.any(theta)
+    with pytest.raises(DecompositionError, match="orthochronous") as info:
+        decompose(diag(-hi))
+    message = str(info.value)
+    assert "<= 0" in message
+    assert float(message.split("M^0_0 = ")[1].split(" <=")[0]) == -hi
 
 
 def test_decompose_det_message_prints_the_value():
     with pytest.raises(DecompositionError, match="improper") as info:
         lorentz_decompose(np.diag([1.0, -1.0, 1.0, 1.0]))
-    assert "det = -1, |det - 1| > 1e-6" in str(info.value)
+    assert "det = -1 <= 0: improper" in str(info.value)
 
 
 def test_decompose_accepts_large_boosts():
