@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .algebra import ETA, EPS3
+from .algebra import ETA
 
 _ETA_DIAG = np.diag(ETA)
 
@@ -50,24 +50,6 @@ def trig_h(q: float) -> float:
     return 0.5 * trig_s(0.25 * q) ** 2  # = (c - 1) / q without cancellation
 
 
-# --- generators ------------------------------------------------------------
-
-def rotation_generators() -> np.ndarray:
-    """(3, 4, 4) array of J_m."""
-    g = np.zeros((3, 4, 4))
-    g[:, 1:, 1:] = EPS3.astype(float)
-    return g
-
-
-def boost_generators() -> np.ndarray:
-    """(3, 4, 4) array of K_m."""
-    g = np.zeros((3, 4, 4))
-    for m in range(3):
-        g[m, 0, 1 + m] = -1.0
-        g[m, 1 + m, 0] = -1.0
-    return g
-
-
 # --- basic maps ------------------------------------------------------------
 
 def rapidity(u) -> np.ndarray:
@@ -79,39 +61,57 @@ def rapidity(u) -> np.ndarray:
     return u / nu * float(np.arcsinh(nu))
 
 
-def rotation_matrix(theta) -> np.ndarray:
-    """4x4 rotation exp(theta . J); time row and column untouched.  Written
-    entry by entry from R = 1 + s a + h a^2, a = theta . J."""
-    x, y, z = np.asarray(theta, dtype=float).tolist()
+def _lorentz_entries(u, theta) -> list:
+    """The 16 entries of Lambda = L(u) R(theta), row by row, as Python floats.
+
+    Lambda = [[u0, -v], [-u, R3 + k u v]] with v = u^T R3 and k = 1 / (1 + u0);
+    R3 = 1 + s a + h a^2, a = theta . J, is written entry by entry.  theta = 0
+    gives R3 = 1 exactly and u = 0 gives Lambda = diag(1, R3) exactly.
+    """
+    x, y, z = theta
     xx, yy, zz = x * x, y * y, z * z
     q = -(xx + yy + zz)
     s, h = trig_s(q), trig_h(q)
     sx, sy, sz = s * x, s * y, s * z
     hxy, hxz, hyz = h * x * y, h * x * z, h * y * z
-    return np.array([1.0, 0.0, 0.0, 0.0,
-                     0.0, 1.0 - h * (yy + zz), hxy + sz, hxz - sy,
-                     0.0, hxy - sz, 1.0 - h * (xx + zz), hyz + sx,
-                     0.0, hxz + sy, hyz - sx, 1.0 - h * (xx + yy)]).reshape(4, 4)
+    r00, r01, r02 = 1.0 - h * (yy + zz), hxy + sz, hxz - sy
+    r10, r11, r12 = hxy - sz, 1.0 - h * (xx + zz), hyz + sx
+    r20, r21, r22 = hxz + sy, hyz - sx, 1.0 - h * (xx + yy)
+    a, b, c = u
+    u0 = math.sqrt(1.0 + (a * a + b * b + c * c))
+    k = 1.0 / (1.0 + u0)
+    v0 = a * r00 + b * r10 + c * r20
+    v1 = a * r01 + b * r11 + c * r21
+    v2 = a * r02 + b * r12 + c * r22
+    ka, kb, kc = k * a, k * b, k * c
+    return [u0, -v0, -v1, -v2,
+            -a, r00 + ka * v0, r01 + ka * v1, r02 + ka * v2,
+            -b, r10 + kb * v0, r11 + kb * v1, r12 + kb * v2,
+            -c, r20 + kc * v0, r21 + kc * v1, r22 + kc * v2]
+
+
+_ZERO3 = (0.0, 0.0, 0.0)
+
+
+def rotation_matrix(theta) -> np.ndarray:
+    """4x4 rotation exp(theta . J); time row and column untouched."""
+    theta = np.asarray(theta, dtype=float).tolist()
+    return np.array(_lorentz_entries(_ZERO3, theta)).reshape(4, 4)
 
 
 def boost_matrix(u) -> np.ndarray:
     """4x4 pure boost exp(beta . K), written in closed form in u.
 
-    Symmetric; L^0_0 = u0 and L e0 = (u0, -u).
+    Symmetric up to rounding; L^0_0 = u0 and L e0 = (u0, -u).
     """
-    x, y, z = np.asarray(u, dtype=float).tolist()
-    u0 = math.sqrt(1.0 + (x * x + y * y + z * z))
-    k = 1.0 / (1.0 + u0)
-    kxy, kxz, kyz = k * x * y, k * x * z, k * y * z
-    return np.array([u0, -x, -y, -z,
-                     -x, 1.0 + k * x * x, kxy, kxz,
-                     -y, kxy, 1.0 + k * y * y, kyz,
-                     -z, kxz, kyz, 1.0 + k * z * z]).reshape(4, 4)
+    u = np.asarray(u, dtype=float).tolist()
+    return np.array(_lorentz_entries(u, _ZERO3)).reshape(4, 4)
 
 
 def lorentz_matrix(u, theta) -> np.ndarray:
     """General transformation Lambda = L(u) R(theta), boost times rotation."""
-    return boost_matrix(u) @ rotation_matrix(theta)
+    u, theta = np.asarray(u, dtype=float).tolist(), np.asarray(theta, dtype=float).tolist()
+    return np.array(_lorentz_entries(u, theta)).reshape(4, 4)
 
 
 def metric_residual(M) -> float:

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import _F_FLOAT, EPS3, ETA
-from .lorentz import _ETA_DIAG, rapidity
-from .xlorentz import (_BDIAG, BFORM, XLParams, _frozen_array, _xl_factors,
+from .lorentz import _lorentz_entries, rapidity
+from .xlorentz import (_BDIAG, BFORM, XLParams, _dirac_coefficients, _frozen_array,
                        xl_decompose, xl_matrix)
 
 
@@ -52,6 +52,8 @@ class GroupParams:
             alpha = float(self.alpha)
         except OverflowError:  # an int beyond the float range
             alpha = math.inf
+        except (TypeError, ValueError):  # a string, a dict, None, a list
+            raise ValueError("alpha must be a number") from None
         if not math.isfinite(alpha):
             raise ValueError("alpha must be finite")
         object.__setattr__(self, "a", a)
@@ -138,36 +140,68 @@ def compose_via_affine(g2: GroupParams, g1: GroupParams) -> GroupParams:
 
 
 def inverse(g: GroupParams) -> GroupParams:
-    """Closed-form inverse, from one build of D and Lambda = L(u) R(theta).
+    """Closed-form inverse from the parameters, with no 5x5 build.
 
-    Translation 5-vector t' = -D(g)^T t (the closed form of -T(g)^{-1} t).
+    D^-1 = B D^T B, so the translation 5-vector is t' = -D^T t =
+    -diag(Lambda^T, 1) W^T t, where, with sigma = diag(eta),
+
+        (W^T t)_j  = t_j + sigma_j w_j (h w.t_P - s t_Gs)
+        (W^T t)_Gs = (1 + h q) t_Gs - s w.t_P.
+
     Extended-Lorentz part: theta' = -theta, u' = -R3(-theta) u = Lambda[0, 1:],
     and omega transforms as a covector under the Lorentz part: omega' =
     -Lambda^{-1} omega = -eta Lambda^T eta omega, so W(omega') = E^{-1} W(-omega) E.
     """
-    d, lam = _xl_factors(g.xl)
-    t_inv = -(d.T @ _translation(g))
-    xl = XLParams(-(_ETA_DIAG * (lam.T @ (_ETA_DIAG * g.xl.omega))), lam[0, 1:],
-                  -g.xl.theta)
-    return GroupParams(alpha=float(t_inv[4]), a=t_inv[:4], xl=xl)
+    w0, w1, w2, w3 = g.xl.omega.tolist()
+    t0, t1, t2, t3 = g.a.tolist()
+    q, s, h = _dirac_coefficients(w0, w1, w2, w3)
+    wt = w0 * t0 + w1 * t1 + w2 * t2 + w3 * t3
+    c = h * wt - s * g.alpha
+    p0, p1, p2, p3 = t0 - w0 * c, t1 + w1 * c, t2 + w2 * c, t3 + w3 * c  # (W^T t)_P
+    lam = _lorentz_entries(g.xl.u.tolist(), g.xl.theta.tolist())
+    cols = [lam[j::4] for j in range(4)]
+    a = [-(l0 * p0 + l1 * p1 + l2 * p2 + l3 * p3) for l0, l1, l2, l3 in cols]
+    # z = Lambda^T sigma w, so omega' = -sigma z
+    z = [l1 * w1 + l2 * w2 + l3 * w3 - l0 * w0 for l0, l1, l2, l3 in cols]
+    xl = XLParams([z[0], -z[1], -z[2], -z[3]], lam[1:4], -g.xl.theta)
+    return GroupParams(alpha=s * wt - (1.0 + h * q) * g.alpha, a=a, xl=xl)
 
 
 # --- fundamental representation ----------------------------------------------
 
 # The ten extended-Lorentz generators act faithfully on the (P, Gs) block;
 # their images G_A there form a basis of the B-antisymmetric matrices with
-# disjoint supports (Frobenius-orthogonal, squared norm 2), so the 10x10
-# sector of the representation is read off exactly by expanding D^{-1} G_A D
-# as coefficients 0.5 <G_B, .>.
+# disjoint supports {(i, j), (j, i)}, i < j, and entries +-1.  Expanding
+# D^{-1} G_A D = B D^T B G_A D in that basis gives the 10x10 sector as the
+# second exterior power of D:
+#     Ad[A, C] = sigma_A sigma_C (D[i, k] D[j, l] - D[i, l] D[j, k]),
+# (i, j) the support of G_A, (k, l) that of G_C, sigma_A = G_A[i, j] B[i, i].
+# _MINOR_PLUS/_MINUS index the two products in outer(D, D).ravel(), with the
+# sign folded in by swapping them.
 _G5 = _F_FLOAT[:10, 10:, 10:]
-_G5_DUAL = 0.5 * _G5.reshape(10, 25)
 # t = (a, alpha) -> the only block off the identity of the translation factor
 _F_TRANS = _F_FLOAT[10:, :10, 10:].reshape(5, 50)
 
 
+def _minor_tables() -> tuple[np.ndarray, np.ndarray]:
+    support = []
+    for G in _G5:
+        i, j = (int(x) for x in np.argwhere(G)[0])
+        support.append((i, j, G[i, j] * _BDIAG[i]))
+    plus, minus = np.empty((2, 10, 10), dtype=np.intp)
+    for A, (i, j, sa) in enumerate(support):
+        for C, (k, l, sc) in enumerate(support):
+            pair = ((5 * i + k) * 25 + 5 * j + l, (5 * i + l) * 25 + 5 * j + k)
+            plus[A, C], minus[A, C] = pair if sa * sc > 0 else pair[::-1]
+    return plus, minus
+
+
+_MINOR_PLUS, _MINOR_MINUS = _minor_tables()
+
+
 def _xl_adjoint10(d5: np.ndarray) -> np.ndarray:
-    d_inv = _BDIAG[:, None] * d5.T * _BDIAG
-    return (d_inv @ _G5 @ d5).reshape(10, 25) @ _G5_DUAL.T
+    o = np.outer(d5, d5).ravel()
+    return o[_MINOR_PLUS] - o[_MINOR_MINUS]
 
 
 def oplus(g: GroupParams) -> np.ndarray:

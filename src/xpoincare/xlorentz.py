@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA
-from .lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
+from .lorentz import (DecompositionError, _lorentz_entries, lorentz_decompose,
                       trig_h, trig_s)
 
 BFORM = np.zeros((5, 5))
@@ -67,18 +67,45 @@ def dirac_generator5(omega) -> np.ndarray:
     return g
 
 
+def _dirac_coefficients(w0, w1, w2, w3) -> tuple[float, float, float]:
+    """q = omega_nu omega^nu and the coefficients s(q), h(q) of W(omega)."""
+    q = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
+    return q, trig_s(q), trig_h(q)
+
+
+def _xl_entries(omega, lam) -> list:
+    """The 25 entries of D = W(omega) diag(Lambda, 1), row by row, as Python
+    floats, from omega and the 16 entries of Lambda.
+
+    With W[:4, :4] = 1 + h w (sigma w)^T, sigma = diag(eta), and
+    z = (sigma w)^T Lambda: D[:4, :4] = Lambda + h w z^T, D[:4, 4] = -s w,
+    D[4, :4] = -s z and D[4, 4] = 1 + h q.  Lambda = 1 gives W(omega) exactly.
+    """
+    w0, w1, w2, w3 = omega
+    q, s, h = _dirac_coefficients(w0, w1, w2, w3)
+    l00, l01, l02, l03, l10, l11, l12, l13, \
+        l20, l21, l22, l23, l30, l31, l32, l33 = lam
+    z0 = w1 * l10 + w2 * l20 + w3 * l30 - w0 * l00
+    z1 = w1 * l11 + w2 * l21 + w3 * l31 - w0 * l01
+    z2 = w1 * l12 + w2 * l22 + w3 * l32 - w0 * l02
+    z3 = w1 * l13 + w2 * l23 + w3 * l33 - w0 * l03
+    h0, h1, h2, h3 = h * w0, h * w1, h * w2, h * w3
+    return [l00 + h0 * z0, l01 + h0 * z1, l02 + h0 * z2, l03 + h0 * z3, -s * w0,
+            l10 + h1 * z0, l11 + h1 * z1, l12 + h1 * z2, l13 + h1 * z3, -s * w1,
+            l20 + h2 * z0, l21 + h2 * z1, l22 + h2 * z2, l23 + h2 * z3, -s * w2,
+            l30 + h3 * z0, l31 + h3 * z1, l32 + h3 * z2, l33 + h3 * z3, -s * w3,
+            -s * z0, -s * z1, -s * z2, -s * z3, 1.0 + h * q]
+
+
+_IDENTITY4 = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+              0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
+
+
 def dirac_boost_mat5(omega) -> np.ndarray:
     """Closed-form Dirac boost W(omega) = exp(g), g = dirac_generator5(omega),
-    written entry by entry from W = 1 + s g + h g^2."""
-    w0, w1, w2, w3 = np.asarray(omega, dtype=float).tolist()
-    q = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
-    s, h = trig_s(q), trig_h(q)
-    h0, h1, h2, h3 = h * w0, h * w1, h * w2, h * w3
-    return np.array([1.0 - h0 * w0, h0 * w1, h0 * w2, h0 * w3, -s * w0,
-                     -h1 * w0, 1.0 + h1 * w1, h1 * w2, h1 * w3, -s * w1,
-                     -h2 * w0, h2 * w1, 1.0 + h2 * w2, h2 * w3, -s * w2,
-                     -h3 * w0, h3 * w1, h3 * w2, 1.0 + h3 * w3, -s * w3,
-                     s * w0, -s * w1, -s * w2, -s * w3, 1.0 + h * q]).reshape(5, 5)
+    from W = 1 + s g + h g^2: the Lambda = 1 case of xl_matrix."""
+    omega = np.asarray(omega, dtype=float).tolist()
+    return np.array(_xl_entries(omega, _IDENTITY4)).reshape(5, 5)
 
 
 def _frozen_array(name: str, value, shape: tuple) -> np.ndarray:
@@ -115,17 +142,10 @@ class XLParams:
         return cls()
 
 
-def _xl_factors(p: XLParams) -> tuple[np.ndarray, np.ndarray]:
-    """D = W(omega) diag(Lambda, 1) and Lambda = L(u) R(theta), each built once."""
-    lam = lorentz_matrix(p.u, p.theta)
-    d = dirac_boost_mat5(p.omega)
-    d[:, :4] = d[:, :4] @ lam
-    return d, lam
-
-
 def xl_matrix(p: XLParams) -> np.ndarray:
-    """5x5 matrix W(omega) L(u) R(theta)."""
-    return _xl_factors(p)[0]
+    """5x5 matrix W(omega) L(u) R(theta), in closed form."""
+    lam = _lorentz_entries(p.u.tolist(), p.theta.tolist())
+    return np.array(_xl_entries(p.omega.tolist(), lam)).reshape(5, 5)
 
 
 def b_residual(M) -> float:

@@ -4,18 +4,34 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpoincare.algebra import ETA
+from xpoincare.algebra import EPS3, ETA
 from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
-                               axis_angle_of_rotation3, boost_generators,
-                               boost_matrix, lorentz_decompose, lorentz_matrix,
-                               metric_residual, rapidity, rotation_generators,
-                               rotation_matrix, trig_h, trig_s)
+                               axis_angle_of_rotation3, boost_matrix,
+                               lorentz_decompose, lorentz_matrix,
+                               metric_residual, rapidity, rotation_matrix,
+                               trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
 from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
 
 coords = st.floats(-1.5, 1.5, allow_nan=False)
 u_vectors = st.tuples(coords, coords, coords).map(np.array)
 angles = st.floats(0.0, math.pi, allow_nan=False)
+
+
+def rotation_generators() -> np.ndarray:
+    """(3, 4, 4) array of J_m, (J_m)^j_k = eps_mjk on the spatial block."""
+    g = np.zeros((3, 4, 4))
+    g[:, 1:, 1:] = EPS3.astype(float)
+    return g
+
+
+def boost_generators() -> np.ndarray:
+    """(3, 4, 4) array of K_m, (K_m)^0_k = (K_m)^k_0 = -delta_mk."""
+    g = np.zeros((3, 4, 4))
+    for m in range(3):
+        g[m, 0, 1 + m] = -1.0
+        g[m, 1 + m, 0] = -1.0
+    return g
 
 
 def random_theta(rng, angle=None):
@@ -299,3 +315,10 @@ def test_decompose_rejects_non_finite(M):
     # NaN used to pass the `res >= tol` gates: a NaN matrix returned NaN parameters
     with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="metric"):
         lorentz_decompose(M)
+
+
+def test_rotation_matrix_is_lorentz_matrix_at_zero_boost():
+    rng = np.random.default_rng(33)
+    for angle in (None, 0.0, math.pi) * 20:
+        theta = random_theta(rng, angle)
+        assert np.array_equal(rotation_matrix(theta), lorentz_matrix(np.zeros(3), theta))

@@ -297,3 +297,10 @@ def test_group_params_stores_a_read_only_copy():
         g.a[0] = 1.0
     a[:] = 9.0  # the caller's array changes, the parameters do not
     assert np.array_equal(g.a, [0.1, 0.2, 0.3, 0.4]) and g.alpha == 0.5
+
+
+@pytest.mark.parametrize("alpha", ["x", {}, None, [1.0]],
+                         ids=["str", "dict", "none", "list"])
+def test_group_params_rejects_non_number_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        GroupParams(alpha=alpha)

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import ETA, exp_ad
-from xpoincare.checks import sample_omega, suite_group_axioms
+from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
                                boost_matrix, rotation_matrix, trig_h, trig_s)
-from xpoincare.poincare import GroupParams, compose, inverse
+from xpoincare.poincare import _G5, GroupParams, _xl_adjoint10, compose, inverse
 from xpoincare.xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                                 dirac_generator5, omega_branch, omega_square,
                                 xl_decompose, xl_matrix)
@@ -532,3 +532,113 @@ def test_axis_angle_cut_both_sides(cut):
                                       u=rng.normal(size=3)))
             assert _roundtrip_in_eps(M) < ROUNDTRIP_K
             assert _roundtrip_in_eps(left @ M) < ROUNDTRIP_K
+
+
+# --- closed forms against the products they replace --------------------------
+# xl_matrix, inverse and the 10x10 block of oplus are closed forms; the small-
+# matrix products they replace stay here as their oracles.  Scale of an
+# element: max(1, |D|^2 max(1, |t|)), t = (a, alpha).  Worst seen over the
+# draws below: 1.5 eps for the adjoint; for inverse 5.0 eps on the sampled
+# draws and 11.5 eps on the pinned ones.  There the rebuild of D from the
+# inverted parameters dominates: an inverse that takes D^-1 = B D^T B from
+# one matrix build reads the same 11.5 eps.  k = 32.
+
+CLOSED_FORM_K = 32
+PIN_TRIG_R = (0.0, 1e-9, 1e-6)       # trig r = pi - these
+PIN_THETA = (0.0, 1e-7, 1e-4)        # |theta| = pi - these
+
+
+def _pinned_draws(rng, count):
+    """count elements at each pair of trig r = pi - PIN_TRIG_R and
+    |theta| = pi - PIN_THETA."""
+    for _ in range(count):
+        for dr in PIN_TRIG_R:
+            for dt in PIN_THETA:
+                axis = rng.normal(size=3)
+                xl = XLParams(trig_direction(rng) * (math.pi - dr), rng.normal(size=3),
+                              axis / np.linalg.norm(axis) * (math.pi - dt))
+                yield GroupParams(rng.normal() * 2.0, rng.normal(size=4) * 2.0, xl)
+
+
+def _closed_form_draws():
+    """4000 narrow and 4000 wide sample_params elements, then 180 pinned ones."""
+    rng = np.random.default_rng(41)
+    for wide in (False, True):
+        for _ in range(4000):
+            yield sample_params(rng, wide)
+    yield from _pinned_draws(rng, 20)
+
+
+def _element_scale(d, t=0.0):
+    return EPS * max(1.0, np.abs(d).max() ** 2 * max(1.0, np.abs(t).max()))
+
+
+def test_adjoint10_matches_basis_expansion():
+    # oracle: 0.5 <G_C, D^-1 G_A D> over the generator basis; t does not enter
+    g5_dual = 0.5 * _G5.reshape(10, 25)
+    worst = 0.0
+    for g in _closed_form_draws():
+        d = xl_matrix(g.xl)
+        ref = (BFORM @ d.T @ BFORM @ _G5 @ d).reshape(10, 25) @ g5_dual.T
+        err = np.abs(_xl_adjoint10(d) - ref).max()
+        worst = max(worst, err / _element_scale(d))
+    assert worst <= CLOSED_FORM_K, worst
+
+
+def test_inverse_matches_matrix_route():
+    # oracle: D^-1 = B D^T B and t' = -D^T t from one build of D
+    worst = 0.0
+    for g in _closed_form_draws():
+        d, t = xl_matrix(g.xl), np.array([*g.a, g.alpha])
+        gi = inverse(g)
+        err = max(np.abs(xl_matrix(gi.xl) - BFORM @ d.T @ BFORM).max(),
+                  np.abs(np.array([*gi.a, gi.alpha]) + d.T @ t).max())
+        worst = max(worst, err / _element_scale(d, t))
+    assert worst <= CLOSED_FORM_K, worst
+
+
+def _mp_element(mp, g):
+    """D = W diag(L R, 1) and t = (a, alpha) at the working precision of mp,
+    from the exact values of the float64 parameters of g; also max|W| max|L R|."""
+    lam = _mp_factor(mp, "L", g.xl.u) * _mp_factor(mp, "R", g.xl.theta)
+    w = _mp_factor(mp, "W", g.xl.omega)
+    e = mp.eye(5)
+    e[:4, :4] = lam
+    size = max(abs(x) for x in w) * max(abs(x) for x in lam)
+    return w * e, mp.matrix([mp.mpf(float(x)) for x in (*g.a, g.alpha)]), size
+
+
+def _mp_err(mp, got, ref):
+    got = np.asarray(got, dtype=float).reshape(ref.rows, ref.cols)
+    return max(abs(mp.mpf(float(got[j, k])) - ref[j, k])
+               for j in range(ref.rows) for k in range(ref.cols))
+
+
+def _mp_draws(kind):
+    rng = np.random.default_rng(27)
+    if kind == "pinned":
+        return list(_pinned_draws(rng, 4))
+    return [sample_params(rng, kind == "wide") for _ in range(30)]
+
+
+@pytest.mark.parametrize("kind", ["narrow", "wide", "pinned"])
+def test_xl_matrix_and_inverse_match_mpmath(kind):
+    # 40-digit references from the same float64 parameters: D = W diag(L R, 1)
+    # against xl_matrix, and B D^T B and -D^T t against inverse.  Bounds in
+    # eps: xl_matrix against max(1, max|W| max|L R|), the size of its
+    # factors; inverse against the element scale of the oracle tests above.
+    # Worst seen: 5.3 eps for xl_matrix and 7.0 eps for inverse; k = 32.
+    mp = pytest.importorskip("mpmath")
+    b = mp.diag([1, -1, -1, -1, 1])
+    worst_d = worst_inv = 0.0
+    for g in _mp_draws(kind):
+        gi = inverse(g)
+        with mp.workdps(40):
+            d, t, size = _mp_element(mp, g)
+            err = _mp_err(mp, xl_matrix(g.xl), d)
+            worst_d = max(worst_d, float(err / max(1, size)) / EPS)
+            err = max(_mp_err(mp, xl_matrix(gi.xl), b * d.T * b),
+                      _mp_err(mp, [*gi.a, gi.alpha], -(d.T * t)))
+            scale = max(1, max(abs(x) for x in d) ** 2 * max(1, max(abs(x) for x in t)))
+            worst_inv = max(worst_inv, float(err / scale) / EPS)
+    assert worst_d <= CLOSED_FORM_K and worst_inv <= CLOSED_FORM_K
