@@ -256,21 +256,33 @@ def table_to_json_obj(both_orders: bool = False) -> dict:
     }
 
 
-def table_from_json_obj(obj: dict) -> StructureConstants:
+def _ordinal(row: dict, key: str) -> int:
+    name = row.get(key)
+    if not isinstance(name, str) or name not in _NAME_TO_ORDINAL:
+        raise ValueError(f"unknown generator {name!r} in '{key}' of entry {row}")
+    return _NAME_TO_ORDINAL[name]
+
+
+def table_from_json_obj(obj) -> StructureConstants:
     """Rebuild a table from the JSON form; antisymmetric partners are implied.
 
     Accepts files listing either one or both orders of each pair; values must
-    be integers in {-1, +1}.
+    be integers in {-1, +1} (not booleans, not floats).  Every malformed
+    table is a ValueError naming the entry.
     """
+    entries = obj.get("entries") if isinstance(obj, dict) else None
+    if not isinstance(entries, list):
+        raise ValueError("structure-constant table must be an object "
+                         "with an 'entries' list")
     f = np.zeros((15, 15, 15), dtype=np.int64)
     seen = set()
-    for row in obj["entries"]:
-        a = _NAME_TO_ORDINAL[row["a"]]
-        b = _NAME_TO_ORDINAL[row["b"]]
-        c = _NAME_TO_ORDINAL[row["c"]]
-        v = row["f"]
-        if v not in (-1, 1):
-            raise ValueError(f"structure constant out of range: {row}")
+    for row in entries:
+        if not isinstance(row, dict):
+            raise ValueError(f"entry {row!r} is not an object")
+        a, b, c = (_ordinal(row, key) for key in "abc")
+        v = row.get("f")
+        if not (type(v) is int and v in (-1, 1)):  # type(): true and 1.0 are not int
+            raise ValueError(f"structure constant must be the integer -1 or +1: {row}")
         if a == b:
             raise ValueError(f"diagonal entry not allowed: {row}")
         f[a, b, c] = v

@@ -20,9 +20,9 @@ from .algebra import (GENERATOR_NAMES, STRUCTURE_CONSTANTS, StructureConstants,
                       casimir_lambda, casimir_mu, exp_ad, invariance_residual,
                       jacobi_check)
 from .lorentz import lorentz_decompose, lorentz_matrix, metric_residual, rapidity
-from .poincare import (GroupParams, compose, compose_via_affine, inverse,
-                       oplus, oplus_pure_factor_vector, theta_claimed_mask,
-                       theta_closed, theta_numeric, to_affine)
+from .poincare import (GroupParams, _translation, compose, compose_via_affine,
+                       inverse, oplus, oplus_pure_factor_vector,
+                       theta_claimed_mask, theta_closed, theta_numeric)
 from .xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                        xl_decompose, xl_matrix)
 
@@ -205,9 +205,9 @@ def suite_group_axioms(trials, seed):
     s = _Suite()
     e = GroupParams.identity()
 
-    def aff_dist(ga, gb):
-        ra, rb = to_affine(ga), to_affine(gb)
-        return max(float(np.abs(ra.M - rb.M).max()), float(np.abs(ra.t - rb.t).max()))
+    def aff_dist(ga, gb):  # = the distance of B D B, since B is a sign matrix
+        return max(float(np.abs(xl_matrix(ga.xl) - xl_matrix(gb.xl)).max()),
+                   float(np.abs(_translation(ga) - _translation(gb)).max()))
 
     worst = [0.0, None]
     for _ in range(trials):

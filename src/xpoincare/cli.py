@@ -202,6 +202,16 @@ def cmd_dump_algebra(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="xpoincare",
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--constants",
                    help="JSON structure-constant table replacing the builtin "

@@ -20,9 +20,10 @@ Semidirect structure: the extended-Lorentz sector acts on the translation
 5-vector t = (a, alpha) through T(g) = B D(g) B, where D is the 5x5 matrix of
 the extended-Lorentz part and B the invariant form.  T is the action on
 translation parameters (contravariant index placement); composition is then
-the textbook affine rule (T2, t2)(T1, t1) = (T2 T1, t2 + T2 t1).  The closed
-translation-composition formulas in `compose` are algebraically identical to
-that affine rule; the test suite verifies both routes against each other.
+the textbook affine rule (T2, t2)(T1, t1) = (T2 T1, t2 + T2 t1).  `compose`
+evaluates that rule in closed form and `compose_via_affine` as matrix
+products; both factor the same product D2 D1, so they agree to rounding and
+the second is a check of the first's bookkeeping, not an independent formula.
 """
 
 from __future__ import annotations
@@ -77,40 +78,9 @@ def vector_to_params(v) -> GroupParams:
                        xl=XLParams(omega=v[6:10], u=v[3:6], theta=v[0:3]))
 
 
-# --- affine (semidirect) realization ----------------------------------------
-
-@dataclass(frozen=True)
-class AffineRep:
-    """Faithful affine form: x -> M x + t on translation-parameter 5-vectors.
-
-    t is (a^0..a^3, alpha); M = B D B preserves B.
-    """
-
-    M: np.ndarray
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "M", _frozen_array("M", self.M, (5, 5)))
-        object.__setattr__(self, "t", _frozen_array("t", self.t, (5,)))
-
-
 def _translation(g: GroupParams) -> np.ndarray:
+    """Translation 5-vector t = (a^0..a^3, alpha)."""
     return np.array([*g.a.tolist(), g.alpha])
-
-
-def translation_action(xl: XLParams) -> np.ndarray:
-    """Action of the extended-Lorentz part on translation parameters: B D B."""
-    return BFORM @ xl_matrix(xl) @ BFORM
-
-
-def to_affine(g: GroupParams) -> AffineRep:
-    return AffineRep(translation_action(g.xl), np.concatenate([g.a, [g.alpha]]))
-
-
-def from_affine(rep: AffineRep) -> GroupParams:
-    """Recover canonical parameters; propagates xl_decompose rejection."""
-    xl = xl_decompose(BFORM @ rep.M @ BFORM)
-    return GroupParams(alpha=float(rep.t[4]), a=rep.t[:4], xl=xl)
 
 
 # --- group operations --------------------------------------------------------
@@ -134,9 +104,12 @@ def compose(g2: GroupParams, g1: GroupParams) -> GroupParams:
 
 
 def compose_via_affine(g2: GroupParams, g1: GroupParams) -> GroupParams:
-    """Independent composition route through the affine realization."""
-    r2, r1 = to_affine(g2), to_affine(g1)
-    return from_affine(AffineRep(r2.M @ r1.M, r2.t + r2.M @ r1.t))
+    """Composition by the affine rule (T2, t2)(T1, t1) = (T2 T1, t2 + T2 t1),
+    with T = B D B the action on translation 5-vectors."""
+    T2, T1 = (BFORM @ xl_matrix(g.xl) @ BFORM for g in (g2, g1))
+    t = _translation(g2) + T2 @ _translation(g1)
+    xl = xl_decompose(BFORM @ (T2 @ T1) @ BFORM)
+    return GroupParams(alpha=float(t[4]), a=t[:4], xl=xl)
 
 
 def inverse(g: GroupParams) -> GroupParams:

@@ -44,27 +44,12 @@ B_TOL = 1e-8        # B-form residual gate of xl_decompose
 BLOCK_TOL = 1e-7    # block-diagonality gate after Dirac-boost stripping
 
 
-def omega_square(omega) -> float:
-    """q = omega_nu omega^nu under eta = diag(-1, 1, 1, 1)."""
-    omega = np.asarray(omega, dtype=float)
-    return float(omega @ (ETA @ omega))
-
-
 def omega_branch(omega) -> str:
     """Branch label of omega: 'trig', 'hyperbolic', or 'null'."""
-    q = omega_square(omega)
+    q = _dirac_coefficients(*np.asarray(omega, dtype=float).tolist())[0]
     if abs(q) < NULL_BRANCH_TOL:
         return "null"
     return "hyperbolic" if q > 0 else "trig"
-
-
-def dirac_generator5(omega) -> np.ndarray:
-    """Infinitesimal Dirac boost on the (P, Gs) block."""
-    omega = np.asarray(omega, dtype=float)
-    g = np.zeros((5, 5))
-    g[:4, 4] = -omega
-    g[4, :4] = -(ETA @ omega)
-    return g
 
 
 def _dirac_coefficients(w0, w1, w2, w3) -> tuple[float, float, float]:
@@ -102,8 +87,9 @@ _IDENTITY4 = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
 
 
 def dirac_boost_mat5(omega) -> np.ndarray:
-    """Closed-form Dirac boost W(omega) = exp(g), g = dirac_generator5(omega),
-    from W = 1 + s g + h g^2: the Lambda = 1 case of xl_matrix."""
+    """Closed-form Dirac boost W(omega) = exp(g) from W = 1 + s g + h g^2, with
+    g the generator on the (P, Gs) block: g[:4, 4] = -omega and
+    g[4, :4] = -eta omega.  The Lambda = 1 case of xl_matrix."""
     omega = np.asarray(omega, dtype=float).tolist()
     return np.array(_xl_entries(omega, _IDENTITY4)).reshape(5, 5)
 

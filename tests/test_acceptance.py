@@ -16,10 +16,10 @@ from xpoincare.algebra import (casimir_lambda, casimir_mu, exp_ad,
                                invariance_residual, jacobi_check)
 from xpoincare.checks import sample_omega, sample_params, sample_xl
 from xpoincare.lorentz import lorentz_decompose, lorentz_matrix, metric_residual
-from xpoincare.poincare import (GroupParams, compose, compose_via_affine,
-                                inverse, oplus, oplus_pure_factor_vector,
-                                theta_claimed_mask, theta_closed, theta_numeric,
-                                to_affine)
+from xpoincare.poincare import (GroupParams, _translation, compose,
+                                compose_via_affine, inverse, oplus,
+                                oplus_pure_factor_vector, theta_claimed_mask,
+                                theta_closed, theta_numeric)
 from xpoincare.xlorentz import (XLParams, b_residual, dirac_boost_mat5,
                                 xl_decompose, xl_matrix)
 
@@ -35,8 +35,9 @@ def _report(num, label, residual, tol, elapsed, budget):
 
 
 def _aff_dist(g2, g1):
-    r2, r1 = to_affine(g2), to_affine(g1)
-    return max(float(np.abs(r2.M - r1.M).max()), float(np.abs(r2.t - r1.t).max()))
+    # = the distance of the affine forms (B D B, t): B is a sign matrix
+    return max(float(np.abs(xl_matrix(g2.xl) - xl_matrix(g1.xl)).max()),
+               float(np.abs(_translation(g2) - _translation(g1)).max()))
 
 
 def test_criterion_01_jacobi_exact():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xpoincare.algebra import table_to_json_obj
 from xpoincare.cli import ParseError, canonical_json, main, parse_element_obj
 from xpoincare.checks import element_doc
 from xpoincare.poincare import GroupParams
@@ -257,6 +258,34 @@ def test_check_corrupted_constants_fails(tmp_path):
     assert rep["pass"] is False
     fail = next(x for x in rep["failures"] if x["property"] == "jacobi-identity-exact")
     assert fail["counterexample"]["triple"] == ["J1", "J2", "K1"]
+
+
+def _table_with(**change):
+    table = table_to_json_obj()
+    table["entries"][0].update(change)
+    return table
+
+
+@pytest.mark.parametrize("table, named", [
+    ({"order": []}, "entries"), ([], "entries"), ({"entries": [1]}, "1"),
+    (_table_with(a="J9"), "J9"), (_table_with(c=["J1"]), "J1"),
+    (_table_with(f=True), "True"), (_table_with(f=1.0), "1.0"),
+    (_table_with(f=2), "2")],
+    ids=["no-entries", "top-level-list", "entry-not-object", "unknown-generator",
+         "generator-not-string", "f-bool", "f-float", "f-out-of-range"])
+def test_malformed_constants_exit_2_naming_the_entry(tmp_path, capsys, table, named):
+    path = write_json(tmp_path / "table.json", table)
+    assert main(["check", "--suite", "jacobi", "--constants", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_check_rejects_trials_below_one(capsys, trials):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--suite", "jacobi", "--trials", trials])
+    assert exc.value.code == 2
+    assert "--trials: must be at least 1" in capsys.readouterr().err
 
 
 def test_check_deterministic_output():

@@ -6,13 +6,12 @@ import pytest
 from xpoincare.algebra import exp_ad
 from xpoincare.checks import sample_params
 from xpoincare.lorentz import DecompositionError
-from xpoincare.poincare import (AffineRep, GroupParams, compose,
-                                compose_via_affine, from_affine, inverse,
-                                oplus, oplus_pure_factor_vector,
-                                params_to_vector, theta_claimed_mask,
-                                theta_closed, theta_numeric, to_affine,
-                                translation_action, vector_to_params)
-from xpoincare.xlorentz import XLParams, xl_matrix
+from xpoincare.poincare import (GroupParams, _translation, compose,
+                                compose_via_affine, inverse, oplus,
+                                oplus_pure_factor_vector, params_to_vector,
+                                theta_claimed_mask, theta_closed, theta_numeric,
+                                vector_to_params)
+from xpoincare.xlorentz import BFORM, XLParams, xl_matrix
 
 COSH_HALF_PI = 2.5091784786580567
 SINH_HALF_PI = 2.3012989023072947
@@ -30,8 +29,9 @@ def sample(rng, scale=0.5):
 
 
 def aff_dist(g2, g1):
-    r2, r1 = to_affine(g2), to_affine(g1)
-    return max(np.abs(r2.M - r1.M).max(), np.abs(r2.t - r1.t).max())
+    # = the distance of the affine forms (B D B, t): B is a sign matrix
+    return max(np.abs(xl_matrix(g2.xl) - xl_matrix(g1.xl)).max(),
+               np.abs(_translation(g2) - _translation(g1)).max())
 
 
 def test_parameter_vector_roundtrip():
@@ -43,25 +43,38 @@ def test_parameter_vector_roundtrip():
 
 
 def test_affine_identity_and_pure_translation():
-    e = to_affine(GroupParams.identity())
-    assert np.array_equal(e.M, np.eye(5)) and np.array_equal(e.t, np.zeros(5))
+    e = GroupParams.identity()
+    assert np.array_equal(BFORM @ xl_matrix(e.xl) @ BFORM, np.eye(5))
+    assert np.array_equal(_translation(e), np.zeros(5))
     g = GroupParams(alpha=2.5, a=np.array([1.0, -2.0, 3.0, 0.5]))
-    r = to_affine(g)
-    assert np.array_equal(r.M, np.eye(5))
-    assert np.array_equal(r.t, [1.0, -2.0, 3.0, 0.5, 2.5])
+    assert np.array_equal(BFORM @ xl_matrix(g.xl) @ BFORM, np.eye(5))
+    assert np.array_equal(_translation(g), [1.0, -2.0, 3.0, 0.5, 2.5])
 
 
 def test_affine_roundtrip():
     rng = np.random.default_rng(21)
+    e = GroupParams.identity()
     for _ in range(30):
         g = sample(rng)
-        assert aff_dist(from_affine(to_affine(g)), g) < 1e-8
+        assert aff_dist(compose_via_affine(g, e), g) < 1e-8
+        assert aff_dist(compose_via_affine(e, g), g) < 1e-8
 
 
-def test_from_affine_propagates_rejection():
-    bad = AffineRep(np.eye(5) * 1.5, np.zeros(5))
-    with pytest.raises(DecompositionError):
-        from_affine(bad)
+def test_compose_via_affine_propagates_rejection():
+    # (Gs, Gs) entry of the product: cos(2.5) cosh(1) = -1.24, below -1
+    g2 = GroupParams(xl=XLParams(omega=[2.5, 0, 0, 0]))
+    g1 = GroupParams(xl=XLParams(omega=[0, 0, 0, 1.0]))
+    with pytest.raises(DecompositionError, match="outside the reachable set"):
+        compose_via_affine(g2, g1)
+
+
+def test_both_routes_reject_an_overflowing_product():
+    # each D is finite (sinh 460 ~ 1e199), their product is not
+    g = GroupParams(xl=XLParams(omega=[0, 460, 0, 0]))
+    for route in (compose, compose_via_affine):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(DecompositionError):
+            route(g, g)
 
 
 def test_compose_identity_both_sides():
@@ -222,12 +235,12 @@ def test_oplus_xl_block_is_mat5():
         assert np.abs(oplus(gxl)[10:, 10:] - xl_matrix(g.xl)).max() < 1e-12
 
 
-def test_translation_action_is_inverse_transpose():
+def test_bform_conjugate_is_inverse_transpose():
+    # T = B D B, the action on translation 5-vectors, is D^-T
     rng = np.random.default_rng(30)
     p = sample(rng).xl
-    T = translation_action(p)
-    D = xl_matrix(p)
-    assert np.abs(T - np.linalg.inv(D).T).max() < 1e-12
+    T = BFORM @ xl_matrix(p) @ BFORM
+    assert np.abs(T - np.linalg.inv(xl_matrix(p)).T).max() < 1e-12
 
 
 def test_theta_at_identity_is_identity():

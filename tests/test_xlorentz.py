@@ -9,9 +9,9 @@ from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
                                boost_matrix, rotation_matrix, trig_h, trig_s)
 from xpoincare.poincare import _G5, GroupParams, _xl_adjoint10, compose, inverse
-from xpoincare.xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
-                                dirac_generator5, omega_branch, omega_square,
-                                xl_decompose, xl_matrix)
+from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, b_residual,
+                                dirac_boost_mat5, omega_branch, xl_decompose,
+                                xl_matrix)
 
 COSH_HALF_PI = 2.5091784786580567
 SINH_HALF_PI = 2.3012989023072947
@@ -19,6 +19,21 @@ SINH_HALF_PI = 2.3012989023072947
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 omega4 = st.tuples(coords, coords, coords, coords).map(np.array)
 u3 = st.tuples(coords, coords, coords).map(np.array)
+
+
+def dirac_generator5(omega):
+    """Infinitesimal Dirac boost on the (P, Gs) block."""
+    omega = np.asarray(omega, dtype=float)
+    g = np.zeros((5, 5))
+    g[:4, 4] = -omega
+    g[4, :4] = -(ETA @ omega)
+    return g
+
+
+def omega_square(omega):
+    """q = omega_nu omega^nu under eta = diag(-1, 1, 1, 1)."""
+    omega = np.asarray(omega, dtype=float)
+    return float(omega @ (ETA @ omega))
 
 
 def exp_ad_block(omega):
@@ -54,7 +69,7 @@ def test_branch_labels():
     assert omega_branch([1.0, 0, 0, 0]) == "trig"        # q = -1
     assert omega_branch([0, 1.0, 0, 0]) == "hyperbolic"  # q = +1
     assert omega_branch([1.0, 1.0, 0, 0]) == "null"
-    assert omega_square([2.0, 1.0, 0, 0]) == pytest.approx(-3.0)
+    assert _dirac_coefficients(2.0, 1.0, 0, 0)[0] == pytest.approx(-3.0)
 
 
 def test_dirac_boost_identity():
