@@ -8,8 +8,9 @@ Group elements travel as JSON documents
 
 with missing fields defaulting to zero.  Values must be JSON numbers (true and
 "1" are not); lengths and finiteness are checked by GroupParams and XLParams.
-Exit codes: 0 success, 2 parse error, 3 decomposition outside the reachable
-set, 4 property failure in `check`.
+Exit codes: 0 success, 2 parse error (or an element whose W(omega) overflows
+float64), 3 decomposition outside the reachable set, 4 property failure in
+`check`.
 
 All numeric output is printed with 17 significant digits and a fixed key
 order, so identical inputs (and seeds) produce byte-identical output.
@@ -268,7 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # an overflowing product turns into inf/NaN, which a gate or the
+        # output check rejects with one `error:` line; numpy's warnings on
+        # the way would add lines to stderr
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNREACHABLE

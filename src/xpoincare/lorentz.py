@@ -117,7 +117,9 @@ def lorentz_matrix(u, theta) -> np.ndarray:
 def metric_residual(M) -> float:
     """max |M^T eta M - eta|; eta is diagonal, so M^T eta is a column scaling."""
     M = np.asarray(M, dtype=float)
-    return float(np.abs((M.T * _ETA_DIAG) @ M - ETA).max())
+    X = (M.T * _ETA_DIAG) @ M
+    X -= ETA
+    return float(np.abs(X, out=X).max())
 
 
 # --- parameter recovery -----------------------------------------------------
@@ -142,23 +144,29 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     from the angle.  The one special case is the rotation near pi, where w
     is small and rounded: there the axis comes from the symmetric part.
     """
-    R3 = np.asarray(R3, dtype=float)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = R3.tolist()
+    return np.array(_axis_angle(np.asarray(R3, dtype=float).tolist()))
+
+
+def _axis_angle(rows):
+    """axis_angle_of_rotation3 of the nested-list rows of R3; Python floats
+    on the sine branch."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     # w = sin(phi) * axis in this convention
     wx, wy, wz = 0.5 * (r12 - r21), 0.5 * (r20 - r02), 0.5 * (r01 - r10)
-    w = np.array([wx, wy, wz])
     c = (r00 + r11 + r22 - 1.0) / 2.0
     s = math.sqrt(wx * wx + wy * wy + wz * wz)
     phi = math.atan2(s, c)
     # the sine branch divides the rounding of w by s; below s = 0.5 on the
     # far side (c < 0) the symmetric part gives the better-conditioned axis
     if c > 0 or s >= 0.5:
-        return w * (phi / s) if s else w
+        f = phi / s if s else 1.0
+        return [wx * f, wy * f, wz * f]
     # near pi: axis^2 from the symmetric part, sign from w when resolvable
+    R3 = np.array(rows)
     nn = ((R3 + R3.T) / 2.0 - c * np.eye(3)) / (1.0 - c)
     i = int(np.argmax(np.diag(nn)))
     ax = nn[:, i] / np.linalg.norm(nn[:, i])
-    d = float(w @ ax)
+    d = float(np.array([wx, wy, wz]) @ ax)
     if abs(d) > 1e-13:
         ax = ax * np.sign(d)
     else:
@@ -177,6 +185,27 @@ def _det4(m) -> float:
     return s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
 
 
+def _boost_strip(m) -> list:
+    """Rows of R = L(-u) M, u = -M[1:, 0], from the rows of M, as a rank-one
+    update: with y = u^T M[1:, :] and k = 1 / (1 + u0),
+    R[0, j] = u0 M[0, j] + y_j and R[i, j] = M[i, j] + u_i (M[0, j] + k y_j).
+    Equal to boost_matrix(M[1:, 0]) @ M up to rounding."""
+    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), \
+        (m30, m31, m32, m33) = m
+    a, b, c = -m10, -m20, -m30
+    u0 = math.sqrt(1.0 + (a * a + b * b + c * c))
+    k = 1.0 / (1.0 + u0)
+    y0 = a * m10 + b * m20 + c * m30
+    y1 = a * m11 + b * m21 + c * m31
+    y2 = a * m12 + b * m22 + c * m32
+    y3 = a * m13 + b * m23 + c * m33
+    t0, t1, t2, t3 = m00 + k * y0, m01 + k * y1, m02 + k * y2, m03 + k * y3
+    return [[u0 * m00 + y0, u0 * m01 + y1, u0 * m02 + y2, u0 * m03 + y3],
+            [m10 + a * t0, m11 + a * t1, m12 + a * t2, m13 + a * t3],
+            [m20 + b * t0, m21 + b * t1, m22 + b * t2, m23 + b * t3],
+            [m30 + c * t0, m31 + c * t1, m32 + c * t2, m33 + c * t3]]
+
+
 def lorentz_decompose(M):
     """Recover (u, theta) with lorentz_matrix(u, theta) = M.
 
@@ -188,17 +217,22 @@ def lorentz_decompose(M):
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
         raise DecompositionError(f"expected a 4x4 matrix, got {M.shape}")
+    u, theta = _lorentz_params(M, M.tolist())
+    return np.array(u), np.array(theta)
+
+
+def _lorentz_params(M: np.ndarray, m: list):
+    """lorentz_decompose of the 4x4 array M with rows m = M.tolist(); u and,
+    on the sine branch, theta as Python floats."""
     res = metric_residual(M)
     if not res < METRIC_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")
-    if not M[0, 0] > 0.0:
-        raise DecompositionError(f"M^0_0 = {M[0, 0]:.17g} <= 0: not orthochronous")
+    if not m[0][0] > 0.0:
+        raise DecompositionError(f"M^0_0 = {m[0][0]:.17g} <= 0: not orthochronous")
     # R = L(-u) M has |R| ~ 1, so its cofactor determinant (= det M) rounds
     # like an LU of M; the cofactor of M itself would lose |M|^3 eps
-    u = -M[1:, 0]
-    R = boost_matrix(M[1:, 0]) @ M
-    r = R.tolist()
+    r = _boost_strip(m)
     det = _det4(r)
     # det^2 = 1 + tr(eta E) to first order, |E| < 1e-8: a sign test suffices
     if not det > 0.0:
@@ -209,5 +243,5 @@ def lorentz_decompose(M):
     if not off <= 1e-7:
         raise DecompositionError(
             f"boost stripping left time-space coupling {off:.3e}")
-    theta = axis_angle_of_rotation3(R[1:, 1:])
-    return u, theta
+    theta = _axis_angle([r[1][1:], r[2][1:], r[3][1:]])
+    return [-m[1][0], -m[2][0], -m[3][0]], theta

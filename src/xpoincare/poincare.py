@@ -131,12 +131,13 @@ def inverse(g: GroupParams) -> GroupParams:
     wt = w0 * t0 + w1 * t1 + w2 * t2 + w3 * t3
     c = h * wt - s * g.alpha
     p0, p1, p2, p3 = t0 - w0 * c, t1 + w1 * c, t2 + w2 * c, t3 + w3 * c  # (W^T t)_P
-    lam = _lorentz_entries(g.xl.u.tolist(), g.xl.theta.tolist())
+    theta = g.xl.theta.tolist()
+    lam = _lorentz_entries(g.xl.u.tolist(), theta)
     cols = [lam[j::4] for j in range(4)]
     a = [-(l0 * p0 + l1 * p1 + l2 * p2 + l3 * p3) for l0, l1, l2, l3 in cols]
     # z = Lambda^T sigma w, so omega' = -sigma z
     z = [l1 * w1 + l2 * w2 + l3 * w3 - l0 * w0 for l0, l1, l2, l3 in cols]
-    xl = XLParams([z[0], -z[1], -z[2], -z[3]], lam[1:4], -g.xl.theta)
+    xl = XLParams([z[0], -z[1], -z[2], -z[3]], lam[1:4], [-x for x in theta])
     return GroupParams(alpha=s * wt - (1.0 + h * q) * g.alpha, a=a, xl=xl)
 
 
@@ -173,7 +174,8 @@ _MINOR_PLUS, _MINOR_MINUS = _minor_tables()
 
 
 def _xl_adjoint10(d5: np.ndarray) -> np.ndarray:
-    o = np.outer(d5, d5).ravel()
+    d = d5.ravel()
+    o = (d[:, None] * d).ravel()
     return o[_MINOR_PLUS] - o[_MINOR_MINUS]
 
 
@@ -238,6 +240,8 @@ _THETA_FIXED = np.full((15, 15), np.nan)  # the entries of theta_closed free of 
 _THETA_FIXED[:, 10:] = _THETA_FIXED[10:, :10] = 0.0
 _THETA_FIXED[10:, 10:] = np.eye(5)        # a^b row, a^m col: delta; alpha-alpha: 1
 _THETA_FIXED.flags.writeable = False
+_EPS3_FLOAT = EPS3.astype(float)
+_EPS3_FLOAT.flags.writeable = False
 
 
 def theta_claimed_mask() -> np.ndarray:
@@ -259,5 +263,5 @@ def theta_closed(g: GroupParams) -> np.ndarray:
     t[3:6, 10] = g.a[1:]                              # u^j row, a^0 col: a^j
     t[3, 11] = t[4, 12] = t[5, 13] = g.a[0]           # u^j row, a^j col: a^0
     # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
-    t[0:3, 11:14] = EPS3 @ g.a[1:]
+    t[0:3, 11:14] = _EPS3_FLOAT @ g.a[1:]
     return t

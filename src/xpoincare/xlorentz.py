@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import ETA
-from .lorentz import (DecompositionError, _lorentz_entries, lorentz_decompose,
+from .lorentz import (DecompositionError, _lorentz_entries, _lorentz_params,
                       trig_h, trig_s)
 
 BFORM = np.zeros((5, 5))
@@ -55,7 +55,10 @@ def omega_branch(omega) -> str:
 def _dirac_coefficients(w0, w1, w2, w3) -> tuple[float, float, float]:
     """q = omega_nu omega^nu and the coefficients s(q), h(q) of W(omega)."""
     q = w1 * w1 + w2 * w2 + w3 * w3 - w0 * w0
-    return q, trig_s(q), trig_h(q)
+    try:
+        return q, trig_s(q), trig_h(q)
+    except OverflowError:  # math.sinh or the square in trig_h, beyond float64
+        raise OverflowError(f"omega {[w0, w1, w2, w3]}: W(omega) overflows float64") from None
 
 
 def _xl_entries(omega, lam) -> list:
@@ -107,7 +110,7 @@ def _frozen_array(name: str, value, shape: tuple) -> np.ndarray:
         raise ValueError(f"{name} must have shape {shape}, got {v.shape}")
     if not all(map(math.isfinite, v.ravel().tolist())):
         raise ValueError(f"{name} must be finite")
-    v.flags.writeable = False
+    v.setflags(write=False)
     return v
 
 
@@ -120,8 +123,9 @@ class XLParams:
     theta: np.ndarray = field(default_factory=lambda: np.zeros(3))
 
     def __post_init__(self):
-        for name, n in (("omega", 4), ("u", 3), ("theta", 3)):
-            object.__setattr__(self, name, _frozen_array(name, getattr(self, name), (n,)))
+        object.__setattr__(self, "omega", _frozen_array("omega", self.omega, (4,)))
+        object.__setattr__(self, "u", _frozen_array("u", self.u, (3,)))
+        object.__setattr__(self, "theta", _frozen_array("theta", self.theta, (3,)))
 
     @classmethod
     def identity(cls) -> "XLParams":
@@ -137,11 +141,14 @@ def xl_matrix(p: XLParams) -> np.ndarray:
 def b_residual(M) -> float:
     """max |M^T B M - B|; B is diagonal, so M^T B is a column scaling."""
     M = np.asarray(M, dtype=float)
-    return float(np.abs((M.T * _BDIAG) @ M - BFORM).max())
+    X = (M.T * _BDIAG) @ M
+    X -= BFORM
+    return float(np.abs(X, out=X).max())
 
 
-def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
-    """Invert (-s(q) omega, c(q)) for omega; canonical trig range [0, pi].
+def _omega_from_gs_column(v0, v1, v2, v3, c) -> list:
+    """Invert the Gs column (-s(q) omega, c(q)) for omega; canonical trig
+    range [0, pi].
 
     One rule on every branch: angle over the measured sine.  The P part
     vP = -s(q) omega has pseudo-norm sq = sqrt|qv|, which is sin r (trig) or
@@ -152,15 +159,13 @@ def _omega_from_gs_column(v: np.ndarray) -> np.ndarray:
     direction: a canonical unit direction is taken there, which is valid
     because at r = pi the residual factor is absorbed into the Lorentz block.
     """
-    vP = v[:4]
-    v0, v1, v2, v3, c = v.tolist()
     qv = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3  # = -sin^2 r (trig), +sinh^2 chi (hyp.)
     sq = math.sqrt(abs(qv))
     # 1e-12: below it, on the far side, the P part is rounding and has no direction
     if sq <= 1e-12 and c < 0.0:
-        return np.array([math.atan2(sq, c), 0.0, 0.0, 0.0])
-    ang = math.atan2(sq, c) if qv < 0.0 else math.asinh(sq)
-    return -vP if sq == 0.0 else -(ang / sq) * vP
+        return [math.atan2(sq, c), 0.0, 0.0, 0.0]
+    f = -1.0 if sq == 0.0 else -(math.atan2(sq, c) if qv < 0.0 else math.asinh(sq)) / sq
+    return [f * v0, f * v1, f * v2, f * v3]
 
 
 def xl_decompose(M) -> XLParams:
@@ -178,8 +183,9 @@ def xl_decompose(M) -> XLParams:
     if not res < B_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"B-form residual {res:.3e} exceeds {B_TOL:.1e}: not in the group")
-    omega = _omega_from_gs_column(M[:, 4])
-    E = dirac_boost_mat5(-omega) @ M
+    omega = _omega_from_gs_column(*M[:, 4].tolist())
+    w0, w1, w2, w3 = omega
+    E = np.array(_xl_entries((-w0, -w1, -w2, -w3), _IDENTITY4)).reshape(5, 5) @ M
     e0, e1, e2, e3, e4 = E.tolist()
     off = max(abs(e0[4]), abs(e1[4]), abs(e2[4]), abs(e3[4]), abs(e4[0]),
               abs(e4[1]), abs(e4[2]), abs(e4[3]), abs(e4[4] - 1.0))
@@ -187,5 +193,5 @@ def xl_decompose(M) -> XLParams:
         raise DecompositionError(
             f"residual {off:.3e} after Dirac-boost stripping "
             f"(branch '{omega_branch(omega)}'): matrix outside the reachable set")
-    u, theta = lorentz_decompose(E[:4, :4])
+    u, theta = _lorentz_params(E[:4, :4], [e0[:4], e1[:4], e2[:4], e3[:4]])
     return XLParams(omega, u, theta)

@@ -169,6 +169,27 @@ def test_overflowing_element_exit_code(tmp_path):
         assert r.returncode == 2 and "error" in r.stderr
 
 
+@pytest.mark.parametrize("command", ["invert", "oplus", "compose"])
+def test_overflowing_factor_exits_2_naming_omega(tmp_path, capsys, command):
+    # sinh(800) is beyond float64: one `error:` line naming omega and the cause
+    path = write_json(tmp_path / "e.json", {"omega": [0, 800, 0, 0]})
+    args = [command, path, path] if command == "compose" else [command, path]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: omega ") and err.count("\n") == 1
+    assert "W(omega) overflows float64" in err
+
+
+def test_overflowing_product_prints_one_error_line(tmp_path, capsys):
+    # W(omega) is finite at r = 460 but D2 D1 overflows to inf and NaN; the
+    # B-form gate rejects it, and numpy's RuntimeWarnings (errors under this
+    # suite's filter) must not reach stderr
+    path = write_json(tmp_path / "e.json", {"omega": [0, 460, 0, 0]})
+    assert main(["compose", path, path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: B-form residual nan") and err.count("\n") == 1
+
+
 def test_oplus_command(tmp_path):
     z = write_json(tmp_path / "z.json", {})
     r = run_cli(["oplus", z])

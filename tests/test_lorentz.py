@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import EPS3, ETA
 from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
-                               axis_angle_of_rotation3, boost_matrix,
+                               _boost_strip, axis_angle_of_rotation3, boost_matrix,
                                lorentz_decompose, lorentz_matrix,
                                metric_residual, rapidity, rotation_matrix,
                                trig_h, trig_s)
@@ -238,6 +238,33 @@ def test_axis_angle_canonical_at_pi():
     theta = axis_angle_of_rotation3(rotation_matrix([0, 0, math.pi])[1:, 1:])
     nz = np.nonzero(np.abs(theta) > 1e-9)[0]
     assert theta[nz[0]] > 0  # first nonzero component positive
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_axis_angle_sign_cut_both_sides(sign):
+    # an exact rotation about e3 with c = -1 and w = (0, 0, sign * s): the
+    # symmetric part gives ax = e3 exactly and w . ax = sign * s exactly, so
+    # |w . ax| meets the 1e-13 cut with no rounding; above it the axis sign
+    # follows w, at and below it the canonical first-nonzero-positive applies
+    for s in _ulps_around(1e-13):
+        R3 = [[-1.0, sign * s, 0.0], [-sign * s, -1.0, 0.0], [0.0, 0.0, 1.0]]
+        theta = axis_angle_of_rotation3(R3)
+        phi = math.atan2(s, -1.0)
+        expected = sign if s > 1e-13 else 1.0
+        assert theta.tolist() == [0.0, 0.0, expected * phi], s
+
+
+def test_boost_strip_matches_matrix_product():
+    # the rank-one strip R = L(-u) M against its matrix-product oracle, up to
+    # |u| = 3e3 (test_decompose_accepts_large_boosts); measured worst 1.7
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(41)
+    for size in (None, 0.1, 1.0, 30.0, 3e3):
+        for _ in range(200):
+            M = lorentz_matrix(random_theta(rng, size), random_theta(rng))
+            ref = boost_matrix(M[1:, 0]) @ M
+            err = np.abs(np.array(_boost_strip(M.tolist())) - ref).max()
+            assert err <= 8 * eps * max(1.0, np.abs(M).max() ** 2)
 
 
 def test_decompose_rejections():
