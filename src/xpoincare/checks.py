@@ -14,6 +14,10 @@ not an error, and is exercised separately by the unit tests.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
+from functools import partial
+
 import numpy as np
 
 from .algebra import (GENERATOR_NAMES, STRUCTURE_CONSTANTS, StructureConstants,
@@ -25,9 +29,6 @@ from .poincare import (GroupParams, _translation, compose, compose_via_affine,
                        theta_claimed_mask, theta_closed, theta_numeric)
 from .xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
                        xl_decompose, xl_matrix)
-
-SUITE_NAMES = ("jacobi", "casimir", "oracle", "group-axioms", "oplus-hom", "theta")
-
 
 # --- samplers ---------------------------------------------------------------
 
@@ -80,29 +81,46 @@ class _Suite:
 
     def record(self, name, trials, max_residual, tolerance, counterexample=None):
         ok = bool(max_residual <= tolerance)
+        r = float(max_residual) if math.isfinite(max_residual) else None
         self.properties.append({
             "name": name,
             "trials": int(trials),
-            "max_residual": float(max_residual),
+            "max_residual": r,
             "tolerance": float(tolerance),
             "pass": ok,
         })
         if not ok:
-            rec = {"property": name, "residual": float(max_residual),
-                   "tolerance": float(tolerance)}
+            rec = {"property": name, "residual": r, "tolerance": float(tolerance)}
             if counterexample is not None:
                 rec["counterexample"] = counterexample
             self.failures.append(rec)
+
+    @contextmanager
+    def sampled(self, name, tolerance, doc):
+        """Record a sampled property when the block exits: each call of the
+        yielded _Worst is one trial, and `doc` of the worst draw is its
+        counterexample, built only if the property fails."""
+        worst = _Worst()
+        yield worst
+        self.record(name, worst.trials, worst.residual, tolerance,
+                    None if worst.residual <= tolerance else doc(worst.example))
 
     def result(self):
         return self.properties, self.failures
 
 
-def _track(worst, residual, example, maker):
-    if residual > worst[0]:
-        worst[0] = residual
-        worst[1] = maker(example) if example is not None else None
-    return worst
+class _Worst:
+    """Trial count and first strict maximum of a residual, with its example;
+    NaN or inf ranks above every finite residual."""
+
+    def __init__(self):
+        self.trials, self.rank, self.residual, self.example = 0, 0.0, 0.0, None
+
+    def __call__(self, residual, example):
+        self.trials += 1
+        rank = residual if math.isfinite(residual) else math.inf
+        if rank > self.rank:
+            self.rank, self.residual, self.example = rank, residual, example
 
 
 def element_doc(g: GroupParams) -> dict:
@@ -110,6 +128,23 @@ def element_doc(g: GroupParams) -> dict:
             "omega": [float(x) for x in g.xl.omega],
             "u": [float(x) for x in g.xl.u],
             "theta": [float(x) for x in g.xl.theta]}
+
+
+def _elements_doc(gs) -> list:
+    return [element_doc(g) for g in gs]
+
+
+def _xl_doc(p: XLParams) -> dict:
+    return element_doc(GroupParams(xl=p))
+
+
+def _vectors_doc(vectors: dict) -> dict:
+    return {k: [float(x) for x in v] for k, v in vectors.items()}
+
+
+def _dist(x, y) -> float:
+    """max |x - y| over all entries."""
+    return float(np.abs(x - y).max())
 
 
 # --- suites ------------------------------------------------------------------
@@ -152,51 +187,40 @@ def suite_oracle(trials, seed):
     s = _Suite()
     kinds = ["trig", "hyperbolic", "null"]
 
-    worst = [0.0, None]
-    for i in range(trials):
-        omega = sample_omega(rng, kinds[i % 3])
-        x = np.zeros(15)
-        x[6:10] = omega
-        r = float(np.abs(exp_ad(x)[10:, 10:] - dirac_boost_mat5(omega)).max())
-        _track(worst, r, omega, lambda w: {"omega": [float(v) for v in w]})
-    s.record("dirac-boost-closed-vs-exp-ad", trials, worst[0], 1e-10, worst[1])
+    with s.sampled("dirac-boost-closed-vs-exp-ad", 1e-10, _vectors_doc) as worst:
+        for i in range(trials):
+            omega = sample_omega(rng, kinds[i % 3])
+            x = np.zeros(15)
+            x[6:10] = omega
+            worst(_dist(exp_ad(x)[10:, 10:], dirac_boost_mat5(omega)), {"omega": omega})
 
-    worst = [0.0, None]
-    for _ in range(max(1, trials // 2)):
-        p = XLParams(u=_ball(rng, 3, 2.0))
-        x = np.zeros(15)
-        x[3:6] = rapidity(p.u)
-        r = float(np.abs(exp_ad(x)[10:, 10:] - xl_matrix(p)).max())
-        _track(worst, r, p.u, lambda u: {"u": [float(v) for v in u]})
-        p = XLParams(theta=_unit(rng, 3) * rng.uniform(0, np.pi))
-        x = np.zeros(15)
-        x[0:3] = p.theta
-        r = float(np.abs(exp_ad(x)[10:, 10:] - xl_matrix(p)).max())
-        _track(worst, r, p.theta, lambda t: {"theta": [float(v) for v in t]})
-    s.record("lorentz-embedding-vs-exp-ad", 2 * max(1, trials // 2),
-             worst[0], 1e-10, worst[1])
+    with s.sampled("lorentz-embedding-vs-exp-ad", 1e-10, _vectors_doc) as worst:
+        for _ in range(max(1, trials // 2)):
+            p = XLParams(u=_ball(rng, 3, 2.0))
+            x = np.zeros(15)
+            x[3:6] = rapidity(p.u)
+            worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(p)), {"u": p.u})
+            p = XLParams(theta=_unit(rng, 3) * rng.uniform(0, np.pi))
+            x = np.zeros(15)
+            x[0:3] = p.theta
+            worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(p)), {"theta": p.theta})
 
-    worst = [0.0, None]
-    n_sub = max(1, trials // 5)
-    for _ in range(n_sub):
-        x = rng.normal(size=15) * 0.6
-        t1, t2 = rng.uniform(-1.5, 1.5, size=2)
-        a, b = exp_ad(x, t1), exp_ad(x, t2)
-        # the float64 error of the three exponentials grows with their size
-        scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
-        r = float(np.abs(a @ b - exp_ad(x, t1 + t2)).max()) / scale
-        _track(worst, r, x, lambda v: {"coefficients": [float(c) for c in v]})
-    s.record("one-parameter-subgroup", n_sub, worst[0], 1e-10, worst[1])
+    with s.sampled("one-parameter-subgroup", 1e-10, _vectors_doc) as worst:
+        for _ in range(max(1, trials // 5)):
+            x = rng.normal(size=15) * 0.6
+            t1, t2 = rng.uniform(-1.5, 1.5, size=2)
+            a, b = exp_ad(x, t1), exp_ad(x, t2)
+            # the float64 error of the three exponentials grows with their size
+            scale = max(1.0, float(np.abs(a).max()) * float(np.abs(b).max()))
+            worst(_dist(a @ b, exp_ad(x, t1 + t2)) / scale, {"coefficients": x})
 
-    worst = [0.0, None]
-    for a in range(15):
-        for tau in np.linspace(-2.0, 2.0, 9):
-            e = np.zeros(15)
-            e[a] = 1.0
-            r = abs(float(np.linalg.det(exp_ad(e, tau))) - 1.0)
-            _track(worst, r, (a, tau),
-                   lambda at: {"generator": GENERATOR_NAMES[at[0]], "tau": float(at[1])})
-    s.record("exp-ad-unimodular", 15 * 9, worst[0], 1e-10, worst[1])
+    with s.sampled("exp-ad-unimodular", 1e-10, lambda at: {
+            "generator": GENERATOR_NAMES[at[0]], "tau": float(at[1])}) as worst:
+        for a in range(15):
+            for tau in np.linspace(-2.0, 2.0, 9):
+                e = np.zeros(15)
+                e[a] = 1.0
+                worst(abs(float(np.linalg.det(exp_ad(e, tau))) - 1.0), (a, tau))
     return s.result()
 
 
@@ -206,86 +230,67 @@ def suite_group_axioms(trials, seed):
     e = GroupParams.identity()
 
     def aff_dist(ga, gb):  # = the distance of B D B, since B is a sign matrix
-        return max(float(np.abs(xl_matrix(ga.xl) - xl_matrix(gb.xl)).max()),
-                   float(np.abs(_translation(ga) - _translation(gb)).max()))
+        return max(_dist(xl_matrix(ga.xl), xl_matrix(gb.xl)),
+                   _dist(_translation(ga), _translation(gb)))
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        g = sample_params(rng)
-        r = max(aff_dist(compose(e, g), g), aff_dist(compose(g, e), g))
-        _track(worst, r, g, element_doc)
-    s.record("identity-element", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("identity-element", 1e-8, element_doc) as worst:
+        for _ in range(trials):
+            g = sample_params(rng)
+            worst(max(aff_dist(compose(e, g), g), aff_dist(compose(g, e), g)), g)
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        g3, g2, g1 = (sample_params(rng) for _ in range(3))
-        r = aff_dist(compose(compose(g3, g2), g1), compose(g3, compose(g2, g1)))
-        _track(worst, r, (g3, g2, g1),
-               lambda gs: [element_doc(x) for x in gs])
-    s.record("associativity", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("associativity", 1e-8, _elements_doc) as worst:
+        for _ in range(trials):
+            g3, g2, g1 = (sample_params(rng) for _ in range(3))
+            worst(aff_dist(compose(compose(g3, g2), g1), compose(g3, compose(g2, g1))),
+                  (g3, g2, g1))
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        g = sample_params(rng)
-        gi = inverse(g)
-        r = max(aff_dist(compose(gi, g), e), aff_dist(compose(g, gi), e))
-        _track(worst, r, g, element_doc)
-    s.record("two-sided-inverse", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("two-sided-inverse", 1e-8, element_doc) as worst:
+        for _ in range(trials):
+            g = sample_params(rng)
+            gi = inverse(g)
+            worst(max(aff_dist(compose(gi, g), e), aff_dist(compose(g, gi), e)), g)
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        g2, g1 = sample_params(rng), sample_params(rng)
-        r = aff_dist(compose(g2, g1), compose_via_affine(g2, g1))
-        _track(worst, r, (g2, g1), lambda gs: [element_doc(x) for x in gs])
-    s.record("closed-translation-vs-affine-oracle", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("closed-translation-vs-affine-oracle", 1e-8, _elements_doc) as worst:
+        for _ in range(trials):
+            g2, g1 = sample_params(rng), sample_params(rng)
+            worst(aff_dist(compose(g2, g1), compose_via_affine(g2, g1)), (g2, g1))
 
-    worst = [0.0, None]
-    for i in range(trials):
-        p = sample_xl(rng, wide=True)
-        if i % 10 == 0:  # trig branch point and its vicinity
-            v = rng.normal(size=3)
-            n = np.concatenate([[np.sqrt(1.0 + v @ v)], v])
-            phi = np.pi - rng.choice([0.0, 1e-9, 1e-6])
-            p = XLParams(n * phi, p.u, _unit(rng, 3) * (np.pi - rng.choice([0.0, 1e-7, 1e-4])))
-        m = xl_matrix(p)
-        r = float(np.abs(xl_matrix(xl_decompose(m)) - m).max())
-        _track(worst, r, p, lambda q: element_doc(GroupParams(xl=q)))
-    s.record("xl-factorization-roundtrip", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("xl-factorization-roundtrip", 1e-8, _xl_doc) as worst:
+        for i in range(trials):
+            p = sample_xl(rng, wide=True)
+            if i % 10 == 0:  # trig branch point and its vicinity
+                v = rng.normal(size=3)
+                n = np.concatenate([[np.sqrt(1.0 + v @ v)], v])
+                phi = np.pi - rng.choice([0.0, 1e-9, 1e-6])
+                p = XLParams(n * phi, p.u,
+                             _unit(rng, 3) * (np.pi - rng.choice([0.0, 1e-7, 1e-4])))
+            m = xl_matrix(p)
+            worst(_dist(xl_matrix(xl_decompose(m)), m), p)
 
-    worst = [0.0, None]
-    for i in range(trials):
-        u = _ball(rng, 3, 3.0)
-        ang = np.pi - rng.choice([0.0, 1e-9, 1e-5]) if i % 10 == 0 \
-            else rng.uniform(0.0, np.pi)
-        theta = _unit(rng, 3) * ang
-        m = lorentz_matrix(u, theta)
-        u2, t2 = lorentz_decompose(m)
-        r = float(np.abs(lorentz_matrix(u2, t2) - m).max())
-        _track(worst, r, (u, theta),
-               lambda ut: {"u": [float(x) for x in ut[0]],
-                           "theta": [float(x) for x in ut[1]]})
-    s.record("lorentz-factorization-roundtrip", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("lorentz-factorization-roundtrip", 1e-8, _vectors_doc) as worst:
+        for i in range(trials):
+            u = _ball(rng, 3, 3.0)
+            ang = np.pi - rng.choice([0.0, 1e-9, 1e-5]) if i % 10 == 0 \
+                else rng.uniform(0.0, np.pi)
+            theta = _unit(rng, 3) * ang
+            m = lorentz_matrix(u, theta)
+            u2, t2 = lorentz_decompose(m)
+            worst(_dist(lorentz_matrix(u2, t2), m), {"u": u, "theta": theta})
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        u = _ball(rng, 3, 3.0)
-        theta = _unit(rng, 3) * rng.uniform(0.0, np.pi)
-        r = metric_residual(lorentz_matrix(u, theta))
-        _track(worst, r, (u, theta),
-               lambda ut: {"u": [float(x) for x in ut[0]],
-                           "theta": [float(x) for x in ut[1]]})
-    s.record("metric-preservation", trials, worst[0], 1e-12, worst[1])
+    with s.sampled("metric-preservation", 1e-12, _vectors_doc) as worst:
+        for _ in range(trials):
+            u = _ball(rng, 3, 3.0)
+            theta = _unit(rng, 3) * rng.uniform(0.0, np.pi)
+            worst(metric_residual(lorentz_matrix(u, theta)), {"u": u, "theta": theta})
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        # all branches via direction; radius 1.2 keeps the three-factor
-        # product rounding comfortably below the strict 1e-12 gate
-        # (measured extreme over 2e5 draws: 4e-13)
-        p = XLParams(_ball(rng, 4, 1.2), _ball(rng, 3, 1.2),
-                     _unit(rng, 3) * rng.uniform(0.0, np.pi))
-        r = b_residual(xl_matrix(p))
-        _track(worst, r, p, lambda q: element_doc(GroupParams(xl=q)))
-    s.record("bform-preservation", trials, worst[0], 1e-12, worst[1])
+    with s.sampled("bform-preservation", 1e-12, _xl_doc) as worst:
+        for _ in range(trials):
+            # all branches via direction; radius 1.2 keeps the three-factor
+            # product rounding comfortably below the strict 1e-12 gate
+            # (measured extreme over 2e5 draws: 4e-13)
+            p = XLParams(_ball(rng, 4, 1.2), _ball(rng, 3, 1.2),
+                         _unit(rng, 3) * rng.uniform(0.0, np.pi))
+            worst(b_residual(xl_matrix(p)), p)
     return s.result()
 
 
@@ -293,35 +298,26 @@ def suite_oplus_hom(trials, seed):
     rng = np.random.default_rng([seed, 4])
     s = _Suite()
 
-    worst = [0.0, None]
-    for _ in range(trials):
-        g2, g1 = sample_params(rng), sample_params(rng)
-        r = float(np.abs(oplus(compose(g2, g1)) - oplus(g2) @ oplus(g1)).max())
-        _track(worst, r, (g2, g1), lambda gs: [element_doc(x) for x in gs])
-    s.record("representation-homomorphism", trials, worst[0], 1e-8, worst[1])
+    with s.sampled("representation-homomorphism", 1e-8, _elements_doc) as worst:
+        for _ in range(trials):
+            g2, g1 = sample_params(rng), sample_params(rng)
+            worst(_dist(oplus(compose(g2, g1)), oplus(g2) @ oplus(g1)), (g2, g1))
 
-    worst = [0.0, None]
-    for _ in range(max(1, trials // 5)):
-        g = sample_params(rng, wide=True)
-        factors = [GroupParams(alpha=g.alpha), GroupParams(a=g.a),
-                   GroupParams(xl=XLParams(omega=g.xl.omega)),
-                   GroupParams(xl=XLParams(u=g.xl.u)),
-                   GroupParams(xl=XLParams(theta=g.xl.theta))]
-        for fac, vec in zip(factors, oplus_pure_factor_vector(g)):
-            r = float(np.abs(oplus(fac) - exp_ad(vec)).max())
-            _track(worst, r, fac, element_doc)
-    s.record("pure-factors-match-exp-ad", 5 * max(1, trials // 5),
-             worst[0], 1e-10, worst[1])
+    with s.sampled("pure-factors-match-exp-ad", 1e-10, element_doc) as worst:
+        for _ in range(max(1, trials // 5)):
+            g = sample_params(rng, wide=True)
+            factors = [GroupParams(alpha=g.alpha), GroupParams(a=g.a),
+                       GroupParams(xl=XLParams(omega=g.xl.omega)),
+                       GroupParams(xl=XLParams(u=g.xl.u)),
+                       GroupParams(xl=XLParams(theta=g.xl.theta))]
+            for fac, vec in zip(factors, oplus_pure_factor_vector(g)):
+                worst(_dist(oplus(fac), exp_ad(vec)), fac)
 
-    worst = [0.0, None]
-    for _ in range(max(1, trials // 2)):
-        p = sample_xl(rng, wide=True)
-        blk = oplus(GroupParams(xl=p))[10:, 10:]
-        r = max(float(np.abs(blk - xl_matrix(p)).max()),
-                float(np.abs(blk.T @ BFORM @ blk - BFORM).max()))
-        _track(worst, r, p, lambda q: element_doc(GroupParams(xl=q)))
-    s.record("translation-block-and-form", max(1, trials // 2),
-             worst[0], 1e-10, worst[1])
+    with s.sampled("translation-block-and-form", 1e-10, _xl_doc) as worst:
+        for _ in range(max(1, trials // 2)):
+            p = sample_xl(rng, wide=True)
+            blk = oplus(GroupParams(xl=p))[10:, 10:]
+            worst(max(_dist(blk, xl_matrix(p)), _dist(blk.T @ BFORM @ blk, BFORM)), p)
     return s.result()
 
 
@@ -331,31 +327,33 @@ def suite_theta(trials, seed):
     mask = theta_claimed_mask()
 
     tn = theta_numeric(GroupParams.identity())
-    s.record("structure-matrix-identity", 1,
-             float(np.abs(tn - np.eye(15)).max()), 1e-6)
+    s.record("structure-matrix-identity", 1, _dist(tn, np.eye(15)), 1e-6)
 
-    n = max(1, trials // 10)
-    worst = [0.0, None]
-    for _ in range(n):
-        g = sample_params(rng)
-        r = float(np.abs((theta_closed(g) - theta_numeric(g))[mask]).max())
-        _track(worst, r, g, element_doc)
-    s.record("closed-entries-match-numeric", n, worst[0], 1e-6, worst[1])
+    with s.sampled("closed-entries-match-numeric", 1e-6, element_doc) as worst:
+        for _ in range(max(1, trials // 10)):
+            g = sample_params(rng)
+            worst(_dist(theta_closed(g)[mask], theta_numeric(g)[mask]), g)
     return s.result()
+
+
+def _suite_table(table: StructureConstants | None = None) -> dict:
+    """Every suite in report order, as a function of (trials, seed); built per
+    call, so a suite rebound on this module (as perfbench/tracer.py does) runs."""
+    return {"jacobi": partial(suite_jacobi, table=table),
+            "casimir": partial(suite_casimir, table=table),
+            "oracle": suite_oracle, "group-axioms": suite_group_axioms,
+            "oplus-hom": suite_oplus_hom, "theta": suite_theta}
+
+
+SUITE_NAMES = tuple(_suite_table())
 
 
 def run_suite(name, trials, seed, table: StructureConstants | None = None) -> dict:
     """Run one suite (or 'all') and assemble the deterministic report."""
-    table_suites = {"jacobi": suite_jacobi, "casimir": suite_casimir}
-    plain_suites = {"oracle": suite_oracle, "group-axioms": suite_group_axioms,
-                    "oplus-hom": suite_oplus_hom, "theta": suite_theta}
-    names = list(SUITE_NAMES) if name == "all" else [name]
+    suites = _suite_table(table)
     properties, failures = [], []
-    for n in names:
-        if n in table_suites:
-            props, fails = table_suites[n](trials, seed, table)
-        else:
-            props, fails = plain_suites[n](trials, seed)
+    for n in suites if name == "all" else [name]:
+        props, fails = suites[n](trials, seed)
         for p in props:
             p["suite"] = n
         properties.extend(props)

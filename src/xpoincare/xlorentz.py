@@ -39,17 +39,8 @@ BFORM[4, 4] = 1.0
 BFORM.flags.writeable = False
 _BDIAG = np.diag(BFORM)
 
-NULL_BRANCH_TOL = 1e-12
 B_TOL = 1e-8        # B-form residual gate of xl_decompose
 BLOCK_TOL = 1e-7    # block-diagonality gate after Dirac-boost stripping
-
-
-def omega_branch(omega) -> str:
-    """Branch label of omega: 'trig', 'hyperbolic', or 'null'."""
-    q = _dirac_coefficients(*np.asarray(omega, dtype=float).tolist())[0]
-    if abs(q) < NULL_BRANCH_TOL:
-        return "null"
-    return "hyperbolic" if q > 0 else "trig"
 
 
 def _dirac_coefficients(w0, w1, w2, w3) -> tuple[float, float, float]:
@@ -183,15 +174,19 @@ def xl_decompose(M) -> XLParams:
     if not res < B_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"B-form residual {res:.3e} exceeds {B_TOL:.1e}: not in the group")
-    omega = _omega_from_gs_column(*M[:, 4].tolist())
+    col = M[:, 4].tolist()
+    omega = _omega_from_gs_column(*col)
     w0, w1, w2, w3 = omega
     E = np.array(_xl_entries((-w0, -w1, -w2, -w3), _IDENTITY4)).reshape(5, 5) @ M
     e0, e1, e2, e3, e4 = E.tolist()
     off = max(abs(e0[4]), abs(e1[4]), abs(e2[4]), abs(e3[4]), abs(e4[0]),
               abs(e4[1]), abs(e4[2]), abs(e4[3]), abs(e4[4] - 1.0))
     if not off <= BLOCK_TOL:
+        v0, v1, v2, v3, _ = col  # the branch of the Gs column, by the sign of qv
+        qv = -v0 * v0 + v1 * v1 + v2 * v2 + v3 * v3
+        branch = "trig" if qv < 0.0 else "hyperbolic" if qv > 0.0 else "null"
         raise DecompositionError(
             f"residual {off:.3e} after Dirac-boost stripping "
-            f"(branch '{omega_branch(omega)}'): matrix outside the reachable set")
+            f"(branch '{branch}'): matrix outside the reachable set")
     u, theta = _lorentz_params(E[:4, :4], [e0[:4], e1[:4], e2[:4], e3[:4]])
     return XLParams(omega, u, theta)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from xpoincare import checks
 from xpoincare.algebra import table_to_json_obj
 from xpoincare.cli import ParseError, canonical_json, main, parse_element_obj
 from xpoincare.checks import element_doc
@@ -307,6 +308,28 @@ def test_check_rejects_trials_below_one(capsys, trials):
         main(["check", "--suite", "jacobi", "--trials", trials])
     assert exc.value.code == 2
     assert "--trials: must be at least 1" in capsys.readouterr().err
+
+
+def test_check_prints_non_finite_residual_as_null(monkeypatch, capsys):
+    # the first oplus call of the suite is oplus(g2 g1) of the first draw:
+    # an inf there makes representation-homomorphism read inf, a failure
+    true_oplus = checks.oplus
+    calls = []
+
+    def inf_once(g):
+        calls.append(g)
+        m = true_oplus(g)
+        return np.full_like(m, np.inf) if len(calls) == 1 else m
+
+    monkeypatch.setattr(checks, "oplus", inf_once)
+    assert main(["check", "--suite", "oplus-hom", "--trials", "10"]) == 4
+    out, err = capsys.readouterr()
+    assert err == ""
+    rep = json.loads(out)
+    assert rep["pass"] is False
+    assert rep["properties"][0]["max_residual"] is None
+    assert rep["failures"][0]["property"] == "representation-homomorphism"
+    assert rep["failures"][0]["residual"] is None
 
 
 def test_check_deterministic_output():

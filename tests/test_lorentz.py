@@ -254,6 +254,20 @@ def test_axis_angle_sign_cut_both_sides(sign):
         assert theta.tolist() == [0.0, 0.0, expected * phi], s
 
 
+@pytest.mark.parametrize("a, expected", [
+    (5e-10, (-5e-10, 0.6, -0.8)), (2e-9, (2e-9, -0.6, 0.8)),
+    (-2e-9, (2e-9, 0.6, -0.8))])
+def test_canonical_sign_cut_both_sides(a, expected):
+    # an exact pi rotation 2 n n^T - 1 is symmetric, so w = 0 and the axis sign
+    # is canonical: the first component above 1e-9 in magnitude is positive
+    n = np.array([a, -0.6, 0.8]) / math.hypot(a, 1.0)
+    M = np.eye(4)
+    M[1:, 1:] = 2.0 * np.outer(n, n) - np.eye(3)
+    u, theta = lorentz_decompose(M)
+    assert u.tolist() == [0.0, 0.0, 0.0]
+    np.testing.assert_allclose(theta / math.pi, expected, rtol=1e-6, atol=0.0)
+
+
 def test_boost_strip_matches_matrix_product():
     # the rank-one strip R = L(-u) M against its matrix-product oracle, up to
     # |u| = 3e3 (test_decompose_accepts_large_boosts); measured worst 1.7

@@ -10,8 +10,7 @@ from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
                                boost_matrix, rotation_matrix, trig_h, trig_s)
 from xpoincare.poincare import _G5, GroupParams, _xl_adjoint10, compose, inverse
 from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, b_residual,
-                                dirac_boost_mat5, omega_branch, xl_decompose,
-                                xl_matrix)
+                                dirac_boost_mat5, xl_decompose, xl_matrix)
 
 COSH_HALF_PI = 2.5091784786580567
 SINH_HALF_PI = 2.3012989023072947
@@ -66,10 +65,16 @@ def rand_omega(rng, kind):
 
 
 def test_branch_labels():
-    assert omega_branch([1.0, 0, 0, 0]) == "trig"        # q = -1
-    assert omega_branch([0, 1.0, 0, 0]) == "hyperbolic"  # q = +1
-    assert omega_branch([1.0, 1.0, 0, 0]) == "null"
+    # the rejection names the branch of the Gs column by the sign of
+    # qv = -v0^2 + v1^2 + v2^2 + v3^2; F W((0.7, 0.7, 0, 0)) has qv = 0 exactly
     assert _dirac_coefficients(2.0, 1.0, 0, 0)[0] == pytest.approx(-3.0)
+    M = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0]) @ dirac_boost_mat5([0.7, 0.7, 0.0, 0.0])
+    v0, v1 = M[:2, 4]
+    assert M[4, 4] == -1.0 and -v0 * v0 + v1 * v1 == 0.0
+    with pytest.raises(DecompositionError, match="branch 'null'"):
+        xl_decompose(M)
+    with pytest.raises(DecompositionError, match="branch 'hyperbolic'"):
+        xl_decompose(_unreachable_product())
 
 
 def test_dirac_boost_identity():
@@ -268,12 +273,17 @@ def test_group_axioms_at_rotation_branch_point_seeds(seed):
     assert rt["max_residual"] < 1e-9
 
 
-def test_decompose_rejects_outside_reachable_set():
+def _unreachable_product():
     # product of a branch-point trig boost and a hyperbolic one can push the
-    # (Gs, Gs) entry below -1, where no W(omega) L R factorization exists
+    # (Gs, Gs) entry below -1 (here -2.35), where no W(omega) L R
+    # factorization exists
     v = np.array([1.2, 0.3, -0.4])
     n = np.concatenate([[math.sqrt(1.0 + v @ v)], v])
-    M = dirac_boost_mat5(math.pi * n) @ dirac_boost_mat5([0.0, 1.5, 0.0, 0.0])
+    return dirac_boost_mat5(math.pi * n) @ dirac_boost_mat5([0.0, 1.5, 0.0, 0.0])
+
+
+def test_decompose_rejects_outside_reachable_set():
+    M = _unreachable_product()
     assert M[4, 4] < -1.0
     assert b_residual(M) < 1e-12
     with pytest.raises(DecompositionError, match="reachable"):
