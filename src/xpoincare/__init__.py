@@ -14,11 +14,9 @@ from .algebra import (EPS3, ETA, GENERATOR_NAMES, STRUCTURE_CONSTANTS,
                       GeneratorIndex, JacobiReport, StructureConstants,
                       adjoint_of, casimir_lambda, casimir_mu, commutator,
                       exp_ad, invariance_residual, jacobi_check)
-from .lorentz import (DecompositionError, axis_angle_of_rotation3,
-                      boost_matrix, lorentz_decompose, lorentz_matrix,
-                      metric_residual, rapidity, rotation_matrix)
-from .xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
-                       xl_decompose, xl_matrix)
+from .lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
+                      metric_residual, rapidity)
+from .xlorentz import BFORM, XLParams, b_residual, xl_decompose, xl_matrix
 from .poincare import (GroupParams, compose, compose_via_affine, inverse, oplus,
                        params_to_vector, theta_claimed_mask, theta_closed,
                        theta_numeric, vector_to_params)

@@ -58,8 +58,6 @@ GENERATOR_NAMES = (
 )
 _NAME_TO_ORDINAL = {n: i for i, n in enumerate(GENERATOR_NAMES)}
 
-GS_INDEX = 14
-
 # Minkowski metric, mostly-plus.  Normative for the whole package.
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 ETA_INT = np.diag([-1, 1, 1, 1]).astype(np.int64)
@@ -198,22 +196,13 @@ def exp_ad(x, t: float = 1.0) -> np.ndarray:
 
 def casimir_lambda() -> np.ndarray:
     """Coefficient matrix of J.J - K.K + Gam0 Gam0 - Gam.Gam (integer 15x15)."""
-    k = np.zeros((15, 15), dtype=np.int64)
-    for j in range(3):
-        k[GeneratorIndex.J1 + j, GeneratorIndex.J1 + j] = 1
-        k[GeneratorIndex.K1 + j, GeneratorIndex.K1 + j] = -1
-        k[GeneratorIndex.GAM1 + j, GeneratorIndex.GAM1 + j] = -1
-    k[GeneratorIndex.GAM0, GeneratorIndex.GAM0] = 1
-    return k
+    return np.diag(np.array([1, 1, 1, -1, -1, -1, 1, -1, -1, -1, 0, 0, 0, 0, 0],
+                            dtype=np.int64))
 
 
 def casimir_mu() -> np.ndarray:
     """Coefficient matrix of Gs^2 - eta^{bn} P_b P_n (integer 15x15)."""
-    k = np.zeros((15, 15), dtype=np.int64)
-    for mu in range(4):
-        k[10 + mu, 10 + mu] = -int(ETA_INT[mu, mu])
-    k[GS_INDEX, GS_INDEX] = 1
-    return k
+    return np.diag(np.array([0] * 10 + [1, -1, -1, -1, 1], dtype=np.int64))
 
 
 def invariance_residual(kmat: np.ndarray,

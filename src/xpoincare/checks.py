@@ -27,8 +27,7 @@ from .lorentz import lorentz_decompose, lorentz_matrix, metric_residual, rapidit
 from .poincare import (GroupParams, _translation, compose, compose_via_affine,
                        inverse, oplus, oplus_pure_factor_vector,
                        theta_claimed_mask, theta_closed, theta_numeric)
-from .xlorentz import (BFORM, XLParams, b_residual, dirac_boost_mat5,
-                       xl_decompose, xl_matrix)
+from .xlorentz import BFORM, XLParams, b_residual, xl_decompose, xl_matrix
 
 # --- samplers ---------------------------------------------------------------
 
@@ -192,7 +191,8 @@ def suite_oracle(trials, seed):
             omega = sample_omega(rng, kinds[i % 3])
             x = np.zeros(15)
             x[6:10] = omega
-            worst(_dist(exp_ad(x)[10:, 10:], dirac_boost_mat5(omega)), {"omega": omega})
+            worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(XLParams(omega=omega))),
+                  {"omega": omega})
 
     with s.sampled("lorentz-embedding-vs-exp-ad", 1e-10, _vectors_doc) as worst:
         for _ in range(max(1, trials // 2)):

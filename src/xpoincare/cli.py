@@ -8,9 +8,9 @@ Group elements travel as JSON documents
 
 with missing fields defaulting to zero.  Values must be JSON numbers (true and
 "1" are not); lengths and finiteness are checked by GroupParams and XLParams.
-Exit codes: 0 success, 2 parse error (or an element whose W(omega) overflows
-float64), 3 decomposition outside the reachable set, 4 property failure in
-`check`.
+Exit codes: 0 success, 2 parse error (or an element whose W(omega), L(u) or
+`oplus` matrix overflows float64), 3 decomposition outside the reachable set,
+4 property failure in `check`.
 
 All numeric output is printed with 17 significant digits and a fixed key
 order, so identical inputs (and seeds) produce byte-identical output.
@@ -163,7 +163,14 @@ def cmd_invert(args) -> int:
 
 
 def cmd_oplus(args) -> int:
-    _matrix_out(oplus(load_element(args.element)), args.labels, args.csv)
+    m = oplus(load_element(args.element))
+    # the inputs are finite, so a non-finite entry is a float64 overflow
+    # (the 2x2 minors of W can read inf - inf where the exact value is 1)
+    bad = np.argwhere(~np.isfinite(m))
+    if len(bad):
+        row, col = (GENERATOR_NAMES[i] for i in bad[0])
+        raise ValueError(f"oplus entry ({row}, {col}) overflows float64")
+    _matrix_out(m, args.labels, args.csv)
     return 0
 
 

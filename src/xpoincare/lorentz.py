@@ -67,6 +67,7 @@ def _lorentz_entries(u, theta) -> list:
     Lambda = [[u0, -v], [-u, R3 + k u v]] with v = u^T R3 and k = 1 / (1 + u0);
     R3 = 1 + s a + h a^2, a = theta . J, is written entry by entry.  theta = 0
     gives R3 = 1 exactly and u = 0 gives Lambda = diag(1, R3) exactly.
+    Raises OverflowError, naming u, when u0 is beyond float64.
     """
     x, y, z = theta
     xx, yy, zz = x * x, y * y, z * z
@@ -79,6 +80,8 @@ def _lorentz_entries(u, theta) -> list:
     r20, r21, r22 = hxz + sy, hyz - sx, 1.0 - h * (xx + yy)
     a, b, c = u
     u0 = math.sqrt(1.0 + (a * a + b * b + c * c))
+    if u0 == math.inf:  # |u| > ~1.34e154: k would be 0 and Lambda finite but wrong
+        raise OverflowError(f"u {[a, b, c]}: L(u) overflows float64")
     k = 1.0 / (1.0 + u0)
     v0 = a * r00 + b * r10 + c * r20
     v1 = a * r01 + b * r11 + c * r21
@@ -90,26 +93,9 @@ def _lorentz_entries(u, theta) -> list:
             -c, r20 + kc * v0, r21 + kc * v1, r22 + kc * v2]
 
 
-_ZERO3 = (0.0, 0.0, 0.0)
-
-
-def rotation_matrix(theta) -> np.ndarray:
-    """4x4 rotation exp(theta . J); time row and column untouched."""
-    theta = np.asarray(theta, dtype=float).tolist()
-    return np.array(_lorentz_entries(_ZERO3, theta)).reshape(4, 4)
-
-
-def boost_matrix(u) -> np.ndarray:
-    """4x4 pure boost exp(beta . K), written in closed form in u.
-
-    Symmetric up to rounding; L^0_0 = u0 and L e0 = (u0, -u).
-    """
-    u = np.asarray(u, dtype=float).tolist()
-    return np.array(_lorentz_entries(u, _ZERO3)).reshape(4, 4)
-
-
 def lorentz_matrix(u, theta) -> np.ndarray:
-    """General transformation Lambda = L(u) R(theta), boost times rotation."""
+    """General transformation Lambda = L(u) R(theta), boost times rotation;
+    u = 0 gives the rotation R(theta) and theta = 0 the boost L(u) exactly."""
     u, theta = np.asarray(u, dtype=float).tolist(), np.asarray(theta, dtype=float).tolist()
     return np.array(_lorentz_entries(u, theta)).reshape(4, 4)
 
@@ -134,8 +120,9 @@ def _canonical_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def axis_angle_of_rotation3(R3) -> np.ndarray:
-    """Axis-angle vector of a 3x3 rotation in the exp(theta . J) convention.
+def _axis_angle(rows):
+    """Axis-angle vector of a 3x3 rotation, given as nested-list rows, in the
+    exp(theta . J) convention; Python floats on the sine branch.
 
     Canonical output: |theta| in [0, pi]; at |theta| = pi the axis sign is
     normalized (first nonzero component positive).  The angle is atan2 of
@@ -144,12 +131,6 @@ def axis_angle_of_rotation3(R3) -> np.ndarray:
     from the angle.  The one special case is the rotation near pi, where w
     is small and rounded: there the axis comes from the symmetric part.
     """
-    return np.array(_axis_angle(np.asarray(R3, dtype=float).tolist()))
-
-
-def _axis_angle(rows):
-    """axis_angle_of_rotation3 of the nested-list rows of R3; Python floats
-    on the sine branch."""
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     # w = sin(phi) * axis in this convention
     wx, wy, wz = 0.5 * (r12 - r21), 0.5 * (r20 - r02), 0.5 * (r01 - r10)
@@ -189,7 +170,7 @@ def _boost_strip(m) -> list:
     """Rows of R = L(-u) M, u = -M[1:, 0], from the rows of M, as a rank-one
     update: with y = u^T M[1:, :] and k = 1 / (1 + u0),
     R[0, j] = u0 M[0, j] + y_j and R[i, j] = M[i, j] + u_i (M[0, j] + k y_j).
-    Equal to boost_matrix(M[1:, 0]) @ M up to rounding."""
+    Equal to lorentz_matrix(M[1:, 0], zeros(3)) @ M up to rounding."""
     (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), \
         (m30, m31, m32, m33) = m
     a, b, c = -m10, -m20, -m30

@@ -80,14 +80,6 @@ _IDENTITY4 = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
               0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def dirac_boost_mat5(omega) -> np.ndarray:
-    """Closed-form Dirac boost W(omega) = exp(g) from W = 1 + s g + h g^2, with
-    g the generator on the (P, Gs) block: g[:4, 4] = -omega and
-    g[4, :4] = -eta omega.  The Lambda = 1 case of xl_matrix."""
-    omega = np.asarray(omega, dtype=float).tolist()
-    return np.array(_xl_entries(omega, _IDENTITY4)).reshape(5, 5)
-
-
 def _frozen_array(name: str, value, shape: tuple) -> np.ndarray:
     """Read-only float copy of a parameter array, checked for `shape` and
     finiteness; every rejection is a ValueError naming the field `name`."""
@@ -124,7 +116,8 @@ class XLParams:
 
 
 def xl_matrix(p: XLParams) -> np.ndarray:
-    """5x5 matrix W(omega) L(u) R(theta), in closed form."""
+    """5x5 matrix W(omega) L(u) R(theta), in closed form; u = theta = 0 gives
+    the Dirac boost W(omega)."""
     lam = _lorentz_entries(p.u.tolist(), p.theta.tolist())
     return np.array(_xl_entries(p.omega.tolist(), lam)).reshape(5, 5)
 

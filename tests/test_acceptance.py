@@ -20,8 +20,7 @@ from xpoincare.poincare import (GroupParams, _translation, compose,
                                 compose_via_affine, inverse, oplus,
                                 oplus_pure_factor_vector, theta_claimed_mask,
                                 theta_closed, theta_numeric)
-from xpoincare.xlorentz import (XLParams, b_residual, dirac_boost_mat5,
-                                xl_decompose, xl_matrix)
+from xpoincare.xlorentz import XLParams, b_residual, xl_decompose, xl_matrix
 
 TRIALS = 1000
 SEED = 42
@@ -65,7 +64,7 @@ def test_criterion_03_dirac_closed_vs_oracle():
         x = np.zeros(15)
         x[6:10] = omega
         worst = max(worst, float(np.abs(
-            exp_ad(x)[10:, 10:] - dirac_boost_mat5(omega)).max()))
+            exp_ad(x)[10:, 10:] - xl_matrix(XLParams(omega=omega))).max()))
     _report(3, "Dirac-boost closed form vs exp(ad), 1000 omegas, 3 branches",
             worst, 1e-10, time.monotonic() - t0, 5.0)
 

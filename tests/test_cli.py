@@ -11,7 +11,7 @@ from xpoincare.algebra import table_to_json_obj
 from xpoincare.cli import ParseError, canonical_json, main, parse_element_obj
 from xpoincare.checks import element_doc
 from xpoincare.poincare import GroupParams
-from xpoincare.xlorentz import dirac_boost_mat5
+from xpoincare.xlorentz import XLParams, xl_matrix
 
 
 def run_cli(args, cwd=None):
@@ -168,17 +168,28 @@ def test_overflowing_element_exit_code(tmp_path):
     for command in ("oplus", "invert"):
         r = run_cli([command, big])
         assert r.returncode == 2 and "error" in r.stderr
+    # at r = 400 W is finite, but the 2x2 minors of the adjoint block read
+    # inf - inf where the exact value cosh^2 - sinh^2 is 1
+    big = write_json(tmp_path / "big.json", {"omega": [0, 400, 0, 0]})
+    r = run_cli(["oplus", big])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: oplus entry (Gam1, Gam1) overflows float64\n"
 
 
-@pytest.mark.parametrize("command", ["invert", "oplus", "compose"])
-def test_overflowing_factor_exits_2_naming_omega(tmp_path, capsys, command):
-    # sinh(800) is beyond float64: one `error:` line naming omega and the cause
-    path = write_json(tmp_path / "e.json", {"omega": [0, 800, 0, 0]})
+@pytest.mark.parametrize("command, field, factor", [
+    pytest.param(command, field, factor, id=command + suffix)
+    for field, factor, suffix in (("omega", "W(omega)", ""), ("u", "L(u)", "-u"))
+    for command in ("invert", "oplus", "compose")])
+def test_overflowing_factor_exits_2_naming_omega(tmp_path, capsys, command, field, factor):
+    # sinh(800) and sqrt(1 + |u|^2) at |u| = 1e155 are beyond float64: one
+    # `error:` line naming the field and the cause
+    value = [0, 800, 0, 0] if field == "omega" else [1e155, 0, 0]
+    path = write_json(tmp_path / "e.json", {field: value})
     args = [command, path, path] if command == "compose" else [command, path]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: omega ") and err.count("\n") == 1
-    assert "W(omega) overflows float64" in err
+    assert err.startswith(f"error: {field} ") and err.count("\n") == 1
+    assert f"{factor} overflows float64" in err
 
 
 def test_overflowing_product_prints_one_error_line(tmp_path, capsys):
@@ -226,7 +237,7 @@ def test_theta_command(tmp_path):
 
 
 def test_decompose_command(tmp_path):
-    w = dirac_boost_mat5([0.3, 0.2, 0.0, 0.1])
+    w = xl_matrix(XLParams(omega=[0.3, 0.2, 0.0, 0.1]))
     f = write_json(tmp_path / "m.json", {"matrix": [[float(x) for x in r] for r in w]})
     r = run_cli(["decompose", "--matrix", f])
     assert r.returncode == 0
@@ -238,7 +249,7 @@ def test_decompose_command(tmp_path):
 def test_decompose_unreachable_exit_code(tmp_path):
     v = np.array([1.2, 0.3, -0.4])
     n = np.concatenate([[np.sqrt(1 + v @ v)], v])
-    m = dirac_boost_mat5(np.pi * n) @ dirac_boost_mat5([0.0, 1.5, 0.0, 0.0])
+    m = xl_matrix(XLParams(omega=np.pi * n)) @ xl_matrix(XLParams(omega=[0.0, 1.5, 0.0, 0.0]))
     f = write_json(tmp_path / "m.json", {"matrix": [[float(x) for x in r] for r in m]})
     r = run_cli(["decompose", "--matrix", f])
     assert r.returncode == 3
@@ -292,9 +303,9 @@ def _table_with(**change):
     ({"order": []}, "entries"), ([], "entries"), ({"entries": [1]}, "1"),
     (_table_with(a="J9"), "J9"), (_table_with(c=["J1"]), "J1"),
     (_table_with(f=True), "True"), (_table_with(f=1.0), "1.0"),
-    (_table_with(f=2), "2")],
+    (_table_with(f=2), "2"), (_table_with(b="J1"), "diagonal entry")],
     ids=["no-entries", "top-level-list", "entry-not-object", "unknown-generator",
-         "generator-not-string", "f-bool", "f-float", "f-out-of-range"])
+         "generator-not-string", "f-bool", "f-float", "f-out-of-range", "diagonal-entry"])
 def test_malformed_constants_exit_2_naming_the_entry(tmp_path, capsys, table, named):
     path = write_json(tmp_path / "table.json", table)
     assert main(["check", "--suite", "jacobi", "--constants", path]) == 2

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import EPS3, ETA
 from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
-                               _boost_strip, axis_angle_of_rotation3, boost_matrix,
-                               lorentz_decompose, lorentz_matrix,
-                               metric_residual, rapidity, rotation_matrix,
-                               trig_h, trig_s)
+                               _boost_strip, lorentz_decompose, lorentz_matrix,
+                               metric_residual, rapidity, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
 from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
 
@@ -74,17 +72,17 @@ def test_trig_coefficients_match_mpmath():
 
 
 def test_rotation_identity():
-    assert np.array_equal(rotation_matrix(np.zeros(3)), np.eye(4))
+    assert np.array_equal(lorentz_matrix(np.zeros(3), np.zeros(3)), np.eye(4))
 
 
 def test_rotation_pi_about_z():
-    R = rotation_matrix([0.0, 0.0, math.pi])
+    R = lorentz_matrix(np.zeros(3), [0.0, 0.0, math.pi])
     assert np.abs(R - np.diag([1.0, -1.0, -1.0, 1.0])).max() < 1e-15
 
 
 def test_rotation_half_pi_signs():
     # normative sign convention: eps_312 = +1 puts +1 at R^1_2
-    R = rotation_matrix([0.0, 0.0, math.pi / 2])
+    R = lorentz_matrix(np.zeros(3), [0.0, 0.0, math.pi / 2])
     want = np.array([[1.0, 0, 0, 0],
                      [0, 0, 1.0, 0],
                      [0, -1.0, 0, 0],
@@ -93,8 +91,8 @@ def test_rotation_half_pi_signs():
 
 
 def test_boost_identity_and_gamma():
-    assert np.array_equal(boost_matrix(np.zeros(3)), np.eye(4))
-    L = boost_matrix([0.75, 0.0, 0.0])
+    assert np.array_equal(lorentz_matrix(np.zeros(3), np.zeros(3)), np.eye(4))
+    L = lorentz_matrix([0.75, 0.0, 0.0], np.zeros(3))
     assert L[0, 0] == pytest.approx(1.25, abs=1e-15)
     assert L[0, 1] == pytest.approx(-0.75, abs=1e-15)
     # first column is (u0, -u)
@@ -105,7 +103,7 @@ def test_boost_symmetric_unit_det():
     rng = np.random.default_rng(5)
     for _ in range(25):
         u = rng.normal(size=3)
-        L = boost_matrix(u)
+        L = lorentz_matrix(u, np.zeros(3))
         assert np.abs(L - L.T).max() < 1e-14
         assert abs(np.linalg.det(L) - 1.0) < 1e-12
 
@@ -115,7 +113,8 @@ def test_boost_roundtrip_inverse():
     for _ in range(50):
         u = rng.normal(size=3)
         u *= rng.uniform(0, 3.0) / np.linalg.norm(u)
-        assert np.abs(boost_matrix(u) @ boost_matrix(-u) - np.eye(4)).max() < 1e-12
+        prod = lorentz_matrix(u, np.zeros(3)) @ lorentz_matrix(-u, np.zeros(3))
+        assert np.abs(prod - np.eye(4)).max() < 1e-12
 
 
 def test_rapidity_maps_are_inverse():
@@ -125,13 +124,11 @@ def test_rapidity_maps_are_inverse():
         beta = rapidity(u)
         nb = np.linalg.norm(beta)  # u = beta-hat sinh|beta|
         assert np.allclose(beta / nb * np.sinh(nb), u, atol=1e-12)
-    assert boost_matrix([0.75, 0, 0])[0, 0] == pytest.approx(1.25)
+    assert lorentz_matrix([0.75, 0, 0], np.zeros(3))[0, 0] == pytest.approx(1.25)
 
 
 def test_lorentz_matrix_factors():
     assert np.array_equal(lorentz_matrix(np.zeros(3), np.zeros(3)), np.eye(4))
-    u = np.array([0.3, -0.2, 0.9])
-    assert np.array_equal(lorentz_matrix(u, np.zeros(3)), boost_matrix(u))
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,7 +176,7 @@ def test_generators_match_finite_differences():
     for m in range(3):
         e = np.zeros(3)
         e[m] = h
-        dr = (rotation_matrix(e) - rotation_matrix(-e)) / (2 * h)
+        dr = (lorentz_matrix(np.zeros(3), e) - lorentz_matrix(np.zeros(3), -e)) / (2 * h)
         assert np.abs(dr - JG[m]).max() < 1e-8
         dl = (lorentz_matrix(e, np.zeros(3)) - lorentz_matrix(-e, np.zeros(3))) / (2 * h)
         assert np.abs(dl - KG[m]).max() < 1e-8
@@ -196,19 +193,19 @@ def test_direct_kernels_match_generator_forms():
         a = np.einsum("m,mjk->jk", theta, JG)
         q = -float(theta @ theta)
         ref = np.eye(4) + trig_s(q) * a + trig_h(q) * (a @ a)
-        assert np.abs(rotation_matrix(theta) - ref).max() < 8 * eps
+        assert np.abs(lorentz_matrix(np.zeros(3), theta) - ref).max() < 8 * eps
         u0 = math.sqrt(1.0 + u @ u)
         ref = np.eye(4)
         ref[0, 0] = u0
         ref[0, 1:] = ref[1:, 0] = -u
         ref[1:, 1:] += np.outer(u, u) / (1.0 + u0)
-        assert np.abs(boost_matrix(u) - ref).max() < 8 * eps * u0
+        assert np.abs(lorentz_matrix(u, np.zeros(3)) - ref).max() < 8 * eps * u0
 
 
 def test_decompose_identity_and_pure_boost():
     u, theta = lorentz_decompose(np.eye(4))
     assert np.allclose(u, 0) and np.allclose(theta, 0)
-    u, theta = lorentz_decompose(boost_matrix([0.75, 0, 0]))
+    u, theta = lorentz_decompose(lorentz_matrix([0.75, 0, 0], np.zeros(3)))
     assert np.allclose(u, [0.75, 0, 0], atol=1e-10)
     assert np.allclose(theta, 0, atol=1e-10)
 
@@ -235,7 +232,7 @@ def test_decompose_roundtrip_near_pi():
 
 
 def test_axis_angle_canonical_at_pi():
-    theta = axis_angle_of_rotation3(rotation_matrix([0, 0, math.pi])[1:, 1:])
+    _, theta = lorentz_decompose(lorentz_matrix(np.zeros(3), [0, 0, math.pi]))
     nz = np.nonzero(np.abs(theta) > 1e-9)[0]
     assert theta[nz[0]] > 0  # first nonzero component positive
 
@@ -247,8 +244,9 @@ def test_axis_angle_sign_cut_both_sides(sign):
     # |w . ax| meets the 1e-13 cut with no rounding; above it the axis sign
     # follows w, at and below it the canonical first-nonzero-positive applies
     for s in _ulps_around(1e-13):
-        R3 = [[-1.0, sign * s, 0.0], [-sign * s, -1.0, 0.0], [0.0, 0.0, 1.0]]
-        theta = axis_angle_of_rotation3(R3)
+        M = np.eye(4)
+        M[1:3, 1:3] = [[-1.0, sign * s], [-sign * s, -1.0]]
+        _, theta = lorentz_decompose(M)
         phi = math.atan2(s, -1.0)
         expected = sign if s > 1e-13 else 1.0
         assert theta.tolist() == [0.0, 0.0, expected * phi], s
@@ -276,7 +274,7 @@ def test_boost_strip_matches_matrix_product():
     for size in (None, 0.1, 1.0, 30.0, 3e3):
         for _ in range(200):
             M = lorentz_matrix(random_theta(rng, size), random_theta(rng))
-            ref = boost_matrix(M[1:, 0]) @ M
+            ref = lorentz_matrix(M[1:, 0], np.zeros(3)) @ M
             err = np.abs(np.array(_boost_strip(M.tolist())) - ref).max()
             assert err <= 8 * eps * max(1.0, np.abs(M).max() ** 2)
 
@@ -357,9 +355,3 @@ def test_decompose_rejects_non_finite(M):
     with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="metric"):
         lorentz_decompose(M)
 
-
-def test_rotation_matrix_is_lorentz_matrix_at_zero_boost():
-    rng = np.random.default_rng(33)
-    for angle in (None, 0.0, math.pi) * 20:
-        theta = random_theta(rng, angle)
-        assert np.array_equal(rotation_matrix(theta), lorentz_matrix(np.zeros(3), theta))

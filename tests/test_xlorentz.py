@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import ETA, exp_ad
 from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
-from xpoincare.lorentz import (DecompositionError, axis_angle_of_rotation3,
-                               boost_matrix, rotation_matrix, trig_h, trig_s)
+from xpoincare.lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
+                               trig_h, trig_s)
 from xpoincare.poincare import _G5, GroupParams, _xl_adjoint10, compose, inverse
-from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, b_residual,
-                                dirac_boost_mat5, xl_decompose, xl_matrix)
+from xpoincare.xlorentz import (_IDENTITY4, BFORM, XLParams, _dirac_coefficients,
+                                _xl_entries, b_residual, xl_decompose, xl_matrix)
 
 COSH_HALF_PI = 2.5091784786580567
 SINH_HALF_PI = 2.3012989023072947
@@ -68,7 +68,7 @@ def test_branch_labels():
     # the rejection names the branch of the Gs column by the sign of
     # qv = -v0^2 + v1^2 + v2^2 + v3^2; F W((0.7, 0.7, 0, 0)) has qv = 0 exactly
     assert _dirac_coefficients(2.0, 1.0, 0, 0)[0] == pytest.approx(-3.0)
-    M = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0]) @ dirac_boost_mat5([0.7, 0.7, 0.0, 0.0])
+    M = np.diag([-1.0, 1.0, 1.0, 1.0, -1.0]) @ xl_matrix(XLParams(omega=[0.7, 0.7, 0, 0]))
     v0, v1 = M[:2, 4]
     assert M[4, 4] == -1.0 and -v0 * v0 + v1 * v1 == 0.0
     with pytest.raises(DecompositionError, match="branch 'null'"):
@@ -78,12 +78,12 @@ def test_branch_labels():
 
 
 def test_dirac_boost_identity():
-    assert np.array_equal(dirac_boost_mat5(np.zeros(4)), np.eye(5))
+    assert np.array_equal(xl_matrix(XLParams(omega=np.zeros(4))), np.eye(5))
 
 
 def test_dirac_boost_hyperbolic_entries():
     # spatial omega has q > 0 under the mostly-plus metric
-    W = dirac_boost_mat5([0.0, math.pi / 2, 0.0, 0.0])
+    W = xl_matrix(XLParams(omega=[0.0, math.pi / 2, 0.0, 0.0]))
     assert W[4, 4] == pytest.approx(COSH_HALF_PI, abs=1e-14)
     assert W[1, 4] == pytest.approx(-SINH_HALF_PI, abs=1e-14)
     assert W[4, 1] == pytest.approx(-SINH_HALF_PI, abs=1e-14)
@@ -92,7 +92,7 @@ def test_dirac_boost_hyperbolic_entries():
 
 def test_dirac_boost_trig_entries():
     # temporal omega has q < 0: compact rotation in the (P0, Gs) plane
-    W = dirac_boost_mat5([1.0, 0.0, 0.0, 0.0])
+    W = xl_matrix(XLParams(omega=[1.0, 0.0, 0.0, 0.0]))
     assert W[4, 4] == pytest.approx(math.cos(1.0), abs=1e-14)
     assert W[0, 4] == pytest.approx(-math.sin(1.0), abs=1e-14)
     assert W[4, 0] == pytest.approx(math.sin(1.0), abs=1e-14)
@@ -105,7 +105,7 @@ def test_dirac_boost_matches_exp_ad_all_branches():
     for kind in ("trig", "hyperbolic", "null") * 100:
         omega = rand_omega(rng, kind)
         worst = max(worst, np.abs(
-            dirac_boost_mat5(omega) - exp_ad_block(omega)).max())
+            xl_matrix(XLParams(omega=omega)) - exp_ad_block(omega)).max())
     assert worst < 1e-10
 
 
@@ -117,7 +117,8 @@ def test_dirac_boost_matches_generator_form():
         omega = rand_omega(rng, kind)
         g, q = dirac_generator5(omega), omega_square(omega)
         ref = np.eye(5) + trig_s(q) * g + trig_h(q) * (g @ g)
-        assert np.abs(dirac_boost_mat5(omega) - ref).max() < 8 * eps * np.abs(ref).max()
+        W = xl_matrix(XLParams(omega=omega))
+        assert np.abs(W - ref).max() < 8 * eps * np.abs(ref).max()
 
 
 def _mp_factor(mp, name, x):
@@ -162,7 +163,9 @@ def test_factor_matrices_match_mpmath(name, kind):
     # eps, and s multiplies entries far below max|W|.  Worst seen: 6 eps.
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(26)
-    build = {"W": dirac_boost_mat5, "R": rotation_matrix, "L": boost_matrix}[name]
+    build = {"W": lambda x: xl_matrix(XLParams(omega=x)),
+             "R": lambda x: lorentz_matrix(np.zeros(3), x),
+             "L": lambda x: lorentz_matrix(x, np.zeros(3))}[name]
     for i in range(40):
         if kind == "near-pi":
             x = trig_direction(rng) * (math.pi - (0.0, 1e-12, 1e-6, 1e-3)[i % 4])
@@ -193,7 +196,7 @@ def test_dirac_generator_structure():
 @settings(max_examples=60, deadline=None)
 @given(omega4)
 def test_dirac_boost_preserves_bform(omega):
-    assert b_residual(dirac_boost_mat5(2.0 * omega)) < 1e-12
+    assert b_residual(xl_matrix(XLParams(omega=2.0 * omega))) < 1e-12
 
 
 def test_embed_identity_and_gs_slot():
@@ -213,8 +216,9 @@ def test_embed_pure_pi_rotation():
 def test_xl_matrix_factors():
     assert np.array_equal(xl_matrix(XLParams.identity()), np.eye(5))
     omega = np.array([0.3, 0.1, -0.4, 0.2])
+    # u = theta = 0 builds Lambda = 1 exactly, so D is the bare W(omega)
     assert np.array_equal(xl_matrix(XLParams(omega=omega)),
-                          dirac_boost_mat5(omega))
+                          np.array(_xl_entries(omega.tolist(), _IDENTITY4)).reshape(5, 5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,7 +283,8 @@ def _unreachable_product():
     # factorization exists
     v = np.array([1.2, 0.3, -0.4])
     n = np.concatenate([[math.sqrt(1.0 + v @ v)], v])
-    return dirac_boost_mat5(math.pi * n) @ dirac_boost_mat5([0.0, 1.5, 0.0, 0.0])
+    return (xl_matrix(XLParams(omega=math.pi * n))
+            @ xl_matrix(XLParams(omega=[0.0, 1.5, 0.0, 0.0])))
 
 
 def test_decompose_rejects_outside_reachable_set():
@@ -310,7 +315,7 @@ def test_compose_rotations_add():
     p = xl_product(XLParams(theta=np.array([0, 0, a])),
                    XLParams(theta=np.array([0, 0, b])))
     want = np.eye(5)
-    want[:4, :4] = rotation_matrix([0.0, 0.0, a + b])
+    want[:4, :4] = lorentz_matrix(np.zeros(3), [0.0, 0.0, a + b])
     assert np.abs(xl_matrix(p) - want).max() < 1e-10
 
 
@@ -318,11 +323,11 @@ def test_compose_dirac_boosts_same_direction_add():
     rng = np.random.default_rng(17)
     n = trig_direction(rng)
     p = xl_product(XLParams(omega=1.1 * n), XLParams(omega=0.7 * n))
-    assert np.abs(xl_matrix(p) - dirac_boost_mat5(1.8 * n)).max() < 1e-10
+    assert np.abs(xl_matrix(p) - xl_matrix(XLParams(omega=1.8 * n))).max() < 1e-10
     # same along a spatial (hyperbolic) direction
     s = np.array([0.0, 0.6, -0.8, 0.0])
     p = xl_product(XLParams(omega=1.3 * s), XLParams(omega=0.9 * s))
-    assert np.abs(xl_matrix(p) - dirac_boost_mat5(2.2 * s)).max() < 1e-10
+    assert np.abs(xl_matrix(p) - xl_matrix(XLParams(omega=2.2 * s))).max() < 1e-10
 
 
 def test_matrix_associativity():
@@ -481,7 +486,7 @@ def _omega_recovery_in_eps(omega, rng):
     the recovered omega, over W(omega) times Lorentz right factors."""
     worst_rt = worst_omega = 0.0
     for F in _lorentz_right_factors(rng, 5):
-        M = dirac_boost_mat5(omega) @ F
+        M = xl_matrix(XLParams(omega=omega)) @ F
         err = np.abs(xl_decompose(M).omega - omega).max() / np.abs(omega).max()
         worst_rt = max(worst_rt, _roundtrip_in_eps(M))
         worst_omega = max(worst_omega, err / EPS)
@@ -509,9 +514,25 @@ def test_omega_tiny_columns(kind, size):
     for _ in range(20):
         omega = rand_omega(rng, kind)
         omega *= size / np.abs(omega).max()
-        assert dirac_boost_mat5(omega)[4, 4] == 1.0
+        assert xl_matrix(XLParams(omega=omega))[4, 4] == 1.0
         rt, rel = _omega_recovery_in_eps(omega, rng)
         assert rt < ROUNDTRIP_K and rel < ROUNDTRIP_K
+
+
+@pytest.mark.parametrize("p, accepted", [
+    (XLParams(u=[math.sinh(9.0), 0, 0]), True), (XLParams(u=[math.sinh(10.0), 0, 0]), False),
+    (XLParams(omega=[0, 9.0, 0, 0]), True), (XLParams(omega=[0, 10.0, 0, 0]), False)],
+    ids=["rapidity-9", "rapidity-10", "omega-9", "omega-10"])
+def test_default_gates_pin_the_large_element_edge(p, accepted):
+    # B_TOL is absolute while the rounding of M^T B M grows as eps |M|^2, so
+    # the default gates reject exact xl_matrix outputs near rapidity or |omega|
+    # of 10: B-form residuals 8.1e-10 and 4.5e-9 at 9, 2.9e-8 and 5.1e-8 at 10
+    M = xl_matrix(p)
+    if accepted:
+        assert _roundtrip_in_eps(M) < ROUNDTRIP_K
+    else:
+        with pytest.raises(DecompositionError, match="B-form residual"):
+            xl_decompose(M)
 
 
 def test_decompose_exact_trig_branch_point():
@@ -548,7 +569,7 @@ def test_axis_angle_cut_both_sides(cut):
         draws = [(math.sqrt(1.0 - x * x), x) for k in CUT_ULPS for x in (-k * EPS, k * EPS)]
     for s, c in draws:
         M = _rotation5(s, c)
-        theta = axis_angle_of_rotation3(M[1:4, 1:4])
+        _, theta = lorentz_decompose(M[:4, :4])
         assert theta[2] == pytest.approx(math.atan2(s, c), rel=4 * EPS)
         assert _roundtrip_in_eps(M) < ROUNDTRIP_K
         for axis in rng.normal(size=(5, 3)):
