@@ -30,6 +30,8 @@ from enum import IntEnum
 
 import numpy as np
 
+from ._names import GENERATOR_NAMES
+
 
 class GeneratorIndex(IntEnum):
     """The 15 basis generators in frozen canonical order."""
@@ -51,11 +53,6 @@ class GeneratorIndex(IntEnum):
     GS = 14
 
 
-GENERATOR_NAMES = (
-    "J1", "J2", "J3", "K1", "K2", "K3",
-    "Gam0", "Gam1", "Gam2", "Gam3",
-    "P0", "P1", "P2", "P3", "Gs",
-)
 _NAME_TO_ORDINAL = {n: i for i, n in enumerate(GENERATOR_NAMES)}
 
 # Minkowski metric, mostly-plus.  Normative for the whole package.

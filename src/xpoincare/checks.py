@@ -20,12 +20,13 @@ from functools import partial
 
 import numpy as np
 
+from ._names import SUITE_NAMES
 from .algebra import (GENERATOR_NAMES, STRUCTURE_CONSTANTS, StructureConstants,
                       casimir_lambda, casimir_mu, exp_ad, invariance_residual,
                       jacobi_check)
 from .lorentz import lorentz_decompose, lorentz_matrix, metric_residual, rapidity
 from .poincare import (GroupParams, _translation, compose, compose_via_affine,
-                       inverse, oplus, oplus_pure_factor_vector,
+                       element_doc, inverse, oplus, oplus_pure_factor_vector,
                        theta_claimed_mask, theta_closed, theta_numeric)
 from .xlorentz import BFORM, XLParams, b_residual, xl_decompose, xl_matrix
 
@@ -120,13 +121,6 @@ class _Worst:
         rank = residual if math.isfinite(residual) else math.inf
         if rank > self.rank:
             self.rank, self.residual, self.example = rank, residual, example
-
-
-def element_doc(g: GroupParams) -> dict:
-    return {"alpha": float(g.alpha), "a": [float(x) for x in g.a],
-            "omega": [float(x) for x in g.xl.omega],
-            "u": [float(x) for x in g.xl.u],
-            "theta": [float(x) for x in g.xl.theta]}
 
 
 def _elements_doc(gs) -> list:
@@ -337,15 +331,13 @@ def suite_theta(trials, seed):
 
 
 def _suite_table(table: StructureConstants | None = None) -> dict:
-    """Every suite in report order, as a function of (trials, seed); built per
-    call, so a suite rebound on this module (as perfbench/tracer.py does) runs."""
-    return {"jacobi": partial(suite_jacobi, table=table),
-            "casimir": partial(suite_casimir, table=table),
-            "oracle": suite_oracle, "group-axioms": suite_group_axioms,
-            "oplus-hom": suite_oplus_hom, "theta": suite_theta}
-
-
-SUITE_NAMES = tuple(_suite_table())
+    """Every suite in report order, `suite_<name>` for each of SUITE_NAMES, as
+    a function of (trials, seed); looked up per call, so a suite rebound on
+    this module (as perfbench/tracer.py does) runs."""
+    suites = {n: globals()["suite_" + n.replace("-", "_")] for n in SUITE_NAMES}
+    for n in ("jacobi", "casimir"):
+        suites[n] = partial(suites[n], table=table)
+    return suites
 
 
 def run_suite(name, trials, seed, table: StructureConstants | None = None) -> dict:

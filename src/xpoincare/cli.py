@@ -14,22 +14,25 @@ Exit codes: 0 success, 2 parse error (or an element whose W(omega), L(u) or
 
 All numeric output is printed with 17 significant digits and a fixed key
 order, so identical inputs (and seeds) produce byte-identical output.
+
+The element commands (compose, invert, decompose and theta --numeric) run on
+the float core of the group law and never import numpy; oplus,
+theta --closed, check and dump-algebra import it inside the command.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import numbers
 import sys
 
-import numpy as np
-
-from .algebra import (GENERATOR_NAMES, table_from_json_obj, table_to_csv,
-                      table_to_json_obj)
-from .checks import SUITE_NAMES, element_doc, run_suite
+from ._names import GENERATOR_NAMES, SUITE_NAMES
 from .lorentz import DecompositionError
-from .poincare import GroupParams, compose, inverse, oplus, theta_closed, theta_numeric
-from .xlorentz import XLParams, _frozen_array, xl_decompose
+from .poincare import (GroupParams, _theta_numeric, compose, element_doc, inverse,
+                       oplus, theta_closed)
+from .xlorentz import XLParams, _float_entries, _xl_decompose
 
 PARSE_ERROR, UNREACHABLE, PROPERTY_FAILURE = 2, 3, 4
 
@@ -43,7 +46,7 @@ class ParseError(ValueError):
 # --- canonical JSON ----------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("non-finite number in output")
     if x == 0.0:
         x = 0.0  # normalize -0.0
@@ -72,9 +75,9 @@ def canonical_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):  # int and numpy's integers
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):  # float and numpy's floats
         return _fmt_float(float(obj))
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -132,18 +135,20 @@ def _load_json(path: str):
                          f"column {exc.colno}: {exc.msg}") from exc
 
 
-def _matrix_out(m: np.ndarray, labels: bool, as_csv: bool) -> None:
+def _matrix_out(m: list, labels: bool, as_csv: bool) -> None:
+    """Print the 15x15 matrix with rows m of floats; NaN, an entry without a
+    claim, prints as an empty cell or null."""
     if as_csv:
         lines = []
         if labels:
             lines.append("," + ",".join(GENERATOR_NAMES))
         for i, row in enumerate(m):
-            cells = ["" if np.isnan(x) else _fmt_float(float(x)) for x in row]
+            cells = ["" if math.isnan(x) else _fmt_float(x) for x in row]
             prefix = GENERATOR_NAMES[i] + "," if labels else ""
             lines.append(prefix + ",".join(cells))
         sys.stdout.write("\n".join(lines) + "\n")
         return
-    rows = [[None if np.isnan(x) else float(x) for x in row] for row in m]
+    rows = [[None if math.isnan(x) else x for x in row] for row in m]
     doc = {"labels": list(GENERATOR_NAMES), "matrix": rows} if labels \
         else {"matrix": rows}
     _print(doc)
@@ -162,13 +167,24 @@ def cmd_invert(args) -> int:
     return 0
 
 
+def _quiet_numpy():
+    """numpy's floating-point warnings silenced, for the commands that run
+    numpy: an overflow turns into inf/NaN, which a gate or the output check
+    rejects with one `error:` line, and a warning would add lines to stderr."""
+    import numpy as np
+    return np.errstate(all="ignore")
+
+
 def cmd_oplus(args) -> int:
-    m = oplus(load_element(args.element))
+    g = load_element(args.element)
+    with _quiet_numpy():
+        m = oplus(g).tolist()
     # the inputs are finite, so a non-finite entry is a float64 overflow
     # (the 2x2 minors of W can read inf - inf where the exact value is 1)
-    bad = np.argwhere(~np.isfinite(m))
-    if len(bad):
-        row, col = (GENERATOR_NAMES[i] for i in bad[0])
+    bad = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row)
+                if not math.isfinite(x)), None)
+    if bad is not None:
+        row, col = (GENERATOR_NAMES[i] for i in bad)
         raise ValueError(f"oplus entry ({row}, {col}) overflows float64")
     _matrix_out(m, args.labels, args.csv)
     return 0
@@ -176,7 +192,11 @@ def cmd_oplus(args) -> int:
 
 def cmd_theta(args) -> int:
     g = load_element(args.element)
-    m = theta_closed(g) if args.closed else theta_numeric(g)
+    if args.closed:
+        with _quiet_numpy():
+            m = theta_closed(g).tolist()
+    else:
+        m = _theta_numeric(g)
     _matrix_out(m, args.labels, args.csv)
     return 0
 
@@ -188,21 +208,25 @@ def cmd_decompose(args) -> int:
     m = obj["matrix"]
     if not (isinstance(m, list) and all(map(_is_number_list, m))):
         raise ParseError("field 'matrix' must be a list of lists of numbers")
-    p = xl_decompose(_frozen_array("matrix", m, (5, 5)))
+    p = _xl_decompose(_float_entries("matrix", m, (5, 5)))
     _print(element_doc(GroupParams(xl=p)))
     return 0
 
 
 def cmd_check(args) -> int:
+    from .algebra import table_from_json_obj
+    from .checks import run_suite
     table = None
     if args.constants:
         table = table_from_json_obj(_load_json(args.constants))
-    report = run_suite(args.suite, args.trials, args.seed, table)
+    with _quiet_numpy():
+        report = run_suite(args.suite, args.trials, args.seed, table)
     _print(report)
     return 0 if report["pass"] else PROPERTY_FAILURE
 
 
 def cmd_dump_algebra(args) -> int:
+    from .algebra import table_to_csv, table_to_json_obj
     if args.format == "csv":
         sys.stdout.write(table_to_csv(both_orders=args.full))
     else:
@@ -276,11 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # an overflowing product turns into inf/NaN, which a gate or the
-        # output check rejects with one `error:` line; numpy's warnings on
-        # the way would add lines to stderr
-        with np.errstate(all="ignore"):
-            return args.fn(args)
+        return args.fn(args)
     except DecompositionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return UNREACHABLE

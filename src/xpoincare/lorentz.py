@@ -11,17 +11,15 @@ Generator conventions (normative, they fix every sign downstream):
 
 so R(theta) = exp(theta . J) and L(u) = exp(beta . K).  Consequently
 L(u) e0 = (u0, -u) and R((0,0,pi/2)) has R^1_2 = +1, R^2_1 = -1.
+
+Everything here runs on Python floats; numpy is imported only by the array
+edges (`rapidity`, `lorentz_matrix`, `metric_residual`, `lorentz_decompose`),
+each a thin wrapper of its float implementation.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
-
-from .algebra import ETA
-
-_ETA_DIAG = np.diag(ETA)
 
 
 class DecompositionError(ValueError):
@@ -54,6 +52,7 @@ def trig_h(q: float) -> float:
 
 def rapidity(u) -> np.ndarray:
     """Rapidity 3-vector beta with u = u-hat * sinh|beta|."""
+    import numpy as np
     u = np.asarray(u, dtype=float)
     nu = np.linalg.norm(u)
     if nu == 0.0:
@@ -96,16 +95,45 @@ def _lorentz_entries(u, theta) -> list:
 def lorentz_matrix(u, theta) -> np.ndarray:
     """General transformation Lambda = L(u) R(theta), boost times rotation;
     u = 0 gives the rotation R(theta) and theta = 0 the boost L(u) exactly."""
+    import numpy as np
     u, theta = np.asarray(u, dtype=float).tolist(), np.asarray(theta, dtype=float).tolist()
     return np.array(_lorentz_entries(u, theta)).reshape(4, 4)
 
 
+def _max_abs(xs) -> float:
+    """max |x| over xs, NaN when any x is NaN (as numpy's max): the builtin
+    max keeps or drops a NaN depending on where it sits.  A NaN makes the
+    sum NaN, so the sum screens for one."""
+    m = max(map(abs, xs))
+    s = sum(xs)
+    return math.nan if s != s and any(map(math.isnan, xs)) else m
+
+
+def _metric_residual(m) -> float:
+    """max |M^T eta M - eta| of the 4x4 matrix with rows m.  eta is
+    diagonal, so entry (i, j) is the eta-signed dot product of columns i and
+    j (named a, b, c, e, indexed by row); the result is symmetric, and only
+    j >= i is formed."""
+    (a0, b0, c0, e0), (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3) = m
+    return _max_abs((a1 * a1 + a2 * a2 + a3 * a3 - a0 * a0 + 1.0,
+                     a1 * b1 + a2 * b2 + a3 * b3 - a0 * b0,
+                     a1 * c1 + a2 * c2 + a3 * c3 - a0 * c0,
+                     a1 * e1 + a2 * e2 + a3 * e3 - a0 * e0,
+                     b1 * b1 + b2 * b2 + b3 * b3 - b0 * b0 - 1.0,
+                     b1 * c1 + b2 * c2 + b3 * c3 - b0 * c0,
+                     b1 * e1 + b2 * e2 + b3 * e3 - b0 * e0,
+                     c1 * c1 + c2 * c2 + c3 * c3 - c0 * c0 - 1.0,
+                     c1 * e1 + c2 * e2 + c3 * e3 - c0 * e0,
+                     e1 * e1 + e2 * e2 + e3 * e3 - e0 * e0 - 1.0))
+
+
 def metric_residual(M) -> float:
-    """max |M^T eta M - eta|; eta is diagonal, so M^T eta is a column scaling."""
+    """max |M^T eta M - eta| of a 4x4 matrix."""
+    import numpy as np
     M = np.asarray(M, dtype=float)
-    X = (M.T * _ETA_DIAG) @ M
-    X -= ETA
-    return float(np.abs(X, out=X).max())
+    if M.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got {M.shape}")
+    return _metric_residual(M.tolist())
 
 
 # --- parameter recovery -----------------------------------------------------
@@ -113,16 +141,9 @@ def metric_residual(M) -> float:
 METRIC_TOL = 1e-8
 
 
-def _canonical_sign(v: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(np.abs(v) > 1e-9)[0]
-    if len(nz) and v[nz[0]] < 0:
-        return -v
-    return v
-
-
 def _axis_angle(rows):
     """Axis-angle vector of a 3x3 rotation, given as nested-list rows, in the
-    exp(theta . J) convention; Python floats on the sine branch.
+    exp(theta . J) convention, as a list of Python floats.
 
     Canonical output: |theta| in [0, pi]; at |theta| = pi the axis sign is
     normalized (first nonzero component positive).  The angle is atan2 of
@@ -142,17 +163,21 @@ def _axis_angle(rows):
     if c > 0 or s >= 0.5:
         f = phi / s if s else 1.0
         return [wx * f, wy * f, wz * f]
-    # near pi: axis^2 from the symmetric part, sign from w when resolvable
-    R3 = np.array(rows)
-    nn = ((R3 + R3.T) / 2.0 - c * np.eye(3)) / (1.0 - c)
-    i = int(np.argmax(np.diag(nn)))
-    ax = nn[:, i] / np.linalg.norm(nn[:, i])
-    d = float(np.array([wx, wy, wz]) @ ax)
+    # near pi: axis^2 from the symmetric part n n^T = (sym(R3) - c) / (1 - c),
+    # whose largest diagonal entry picks the best-conditioned column
+    diag = ((r00 - c) / (1.0 - c), (r11 - c) / (1.0 - c), (r22 - c) / (1.0 - c))
+    i = max(range(3), key=diag.__getitem__)
+    col = [diag[k] if k == i else (rows[k][i] + rows[i][k]) / 2.0 / (1.0 - c)
+           for k in range(3)]
+    n = math.sqrt(col[0] * col[0] + col[1] * col[1] + col[2] * col[2])
+    ax = [x / n for x in col]
+    # sign from w when resolvable, else the first component above 1e-9 positive
+    d = wx * ax[0] + wy * ax[1] + wz * ax[2]
     if abs(d) > 1e-13:
-        ax = ax * np.sign(d)
+        flip = d < 0.0
     else:
-        ax = _canonical_sign(ax)
-    return phi * ax
+        flip = next((x < 0.0 for x in ax if abs(x) > 1e-9), False)
+    return [-phi * x if flip else phi * x for x in ax]
 
 
 def _det4(m) -> float:
@@ -195,17 +220,18 @@ def lorentz_decompose(M):
     gate leaves |M^0_0| >= 1 - 5e-9 and ||det| - 1| near 2e-8 at most, so
     only the two signs are left to test.
     """
+    import numpy as np
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4):
         raise DecompositionError(f"expected a 4x4 matrix, got {M.shape}")
-    u, theta = _lorentz_params(M, M.tolist())
+    u, theta = _lorentz_params(M.tolist())
     return np.array(u), np.array(theta)
 
 
-def _lorentz_params(M: np.ndarray, m: list):
-    """lorentz_decompose of the 4x4 array M with rows m = M.tolist(); u and,
-    on the sine branch, theta as Python floats."""
-    res = metric_residual(M)
+def _lorentz_params(m) -> tuple[list, list]:
+    """lorentz_decompose of the 4x4 matrix with rows m: u and theta as lists
+    of Python floats."""
+    res = _metric_residual(m)
     if not res < METRIC_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")

@@ -1,4 +1,6 @@
+import json
 import math
+import os
 import subprocess
 import sys
 
@@ -10,7 +12,12 @@ from xpoincare.algebra import (GENERATOR_NAMES, STRUCTURE_CONSTANTS,
                                casimir_mu, commutator, exp_ad,
                                invariance_residual, jacobi_check,
                                table_from_json_obj, table_to_json_obj)
-from xpoincare.checks import suite_oracle
+import xpoincare
+from xpoincare.checks import element_doc, run_suite, suite_oracle
+from xpoincare.cli import canonical_json
+from xpoincare.poincare import (GroupParams, compose, inverse, oplus, theta_closed,
+                                theta_numeric)
+from xpoincare.xlorentz import XLParams, xl_decompose, xl_matrix
 
 
 def basis(i):
@@ -113,6 +120,77 @@ def test_package_import_does_not_load_scipy():
     # scipy serves only the exp_ad oracle and is imported inside it
     code = "import sys, xpoincare.cli; assert 'scipy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+# Runs each command through cli.main in one fresh process and records, per
+# command, (exit code, stdout, stderr, whether numpy is loaded afterwards).
+_CLI_RUNNER = """
+import contextlib, io, json, sys
+import xpoincare, xpoincare.cli
+assert "numpy" not in sys.modules, "importing the package loaded numpy"
+out = []
+for argv in json.loads(sys.argv[1]):
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = xpoincare.cli.main(argv)
+    out.append([code, stdout.getvalue(), stderr.getvalue(), "numpy" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def _matrix_text(m):
+    rows = [[None if math.isnan(x) else x for x in row] for row in m.tolist()]
+    return canonical_json({"matrix": rows}) + "\n"
+
+
+def test_element_commands_do_not_load_numpy(tmp_path):
+    # compose, invert, decompose and theta (--numeric by default) run on the
+    # float core; oplus, theta --closed and check import numpy inside the
+    # command, and every command prints the library's in-process bytes
+    g2 = GroupParams(0.5, [1.0, -2.0, 0.3, 4.0],
+                     XLParams([0.3, 0.1, -0.4, 0.2], [0.4, -0.3, 0.2], [0.5, 0.6, -0.7]))
+    g1 = GroupParams(-1.5, [0.2, 0.7, -0.1, 1.0],
+                     XLParams([0.1, -0.2, 0.1, 0.3], [-0.2, 0.1, 0.5], [0.3, -0.2, 0.4]))
+    m = xl_matrix(g1.xl)
+    n = np.array([math.sqrt(1.0 + 1.69), 1.2, 0.3, -0.4])  # unit timelike
+    outside = xl_matrix(XLParams(math.pi * n)) @ xl_matrix(XLParams([0.0, 1.5, 0.0, 0.0]))
+    files = {}
+    for name, obj in (("g2", element_doc(g2)), ("g1", element_doc(g1)),
+                      ("m", {"matrix": m.tolist()}), ("outside", {"matrix": outside.tolist()}),
+                      ("big", {"omega": [0, 400, 0, 0]})):
+        files[name] = str(tmp_path / f"{name}.json")
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+
+    def doc(g):
+        return canonical_json(element_doc(g)) + "\n"
+
+    cases = [  # argv, exit code, stdout, numpy loaded afterwards
+        (["compose", files["g2"], files["g1"]], 0, doc(compose(g2, g1)), False),
+        (["invert", files["g2"]], 0, doc(inverse(g2)), False),
+        (["decompose", "--matrix", files["m"]], 0, doc(GroupParams(xl=xl_decompose(m))), False),
+        (["decompose", "--matrix", files["outside"]], 3, "", False),
+        (["theta", files["g2"]], 0, _matrix_text(theta_numeric(g2)), False),
+        (["oplus", files["g1"]], 0, _matrix_text(oplus(g1)), True),
+        (["theta", files["g2"], "--closed"], 0, _matrix_text(theta_closed(g2)), True),
+        (["check", "--suite", "jacobi", "--trials", "10", "--seed", "3"], 0,
+         canonical_json(run_suite("jacobi", 10, 3)) + "\n", True),
+        (["oplus", files["big"]], 2, "", True),
+    ]
+    src = os.path.dirname(os.path.dirname(xpoincare.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run([sys.executable, "-c", _CLI_RUNNER,
+                           json.dumps([argv for argv, *_ in cases])],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    for (argv, code, stdout, numpy_loaded), got in zip(cases, json.loads(proc.stdout)):
+        assert got[0] == code and got[1] == stdout, argv
+        assert got[3] == numpy_loaded, argv
+        if code:  # one `error:` line; no numpy warning on the way
+            assert got[2].startswith("error: ") and got[2].count("\n") == 1, (argv, got[2])
+        else:
+            assert got[2] == "", argv
 
 
 def test_exp_ad_of_zero_is_identity():

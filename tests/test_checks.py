@@ -16,7 +16,7 @@ def _property(props, failures, name):
 
 def test_failure_record_names_the_worst_draw(monkeypatch):
     # offset alpha of every oracle result, by far the most at draw 5; the
-    # unpatched property reads exactly 0, so the residual is that offset
+    # unpatched routes agree to rounding, so the residual is that offset
     draws = []
     oracle = checks.compose_via_affine
 

@@ -194,8 +194,8 @@ def test_overflowing_factor_exits_2_naming_omega(tmp_path, capsys, command, fiel
 
 def test_overflowing_product_prints_one_error_line(tmp_path, capsys):
     # W(omega) is finite at r = 460 but D2 D1 overflows to inf and NaN; the
-    # B-form gate rejects it, and numpy's RuntimeWarnings (errors under this
-    # suite's filter) must not reach stderr
+    # B-form gate rejects it with one line, and no warning (an error under
+    # this suite's filter) reaches stderr
     path = write_json(tmp_path / "e.json", {"omega": [0, 460, 0, 0]})
     assert main(["compose", path, path]) == 3
     err = capsys.readouterr().err

@@ -72,6 +72,7 @@ def test_trig_coefficients_match_mpmath():
 
 
 def test_rotation_identity():
+    # the one identity check of the one 4x4 builder: u = theta = 0 gives 1 exactly
     assert np.array_equal(lorentz_matrix(np.zeros(3), np.zeros(3)), np.eye(4))
 
 
@@ -91,7 +92,6 @@ def test_rotation_half_pi_signs():
 
 
 def test_boost_identity_and_gamma():
-    assert np.array_equal(lorentz_matrix(np.zeros(3), np.zeros(3)), np.eye(4))
     L = lorentz_matrix([0.75, 0.0, 0.0], np.zeros(3))
     assert L[0, 0] == pytest.approx(1.25, abs=1e-15)
     assert L[0, 1] == pytest.approx(-0.75, abs=1e-15)
@@ -125,10 +125,6 @@ def test_rapidity_maps_are_inverse():
         nb = np.linalg.norm(beta)  # u = beta-hat sinh|beta|
         assert np.allclose(beta / nb * np.sinh(nb), u, atol=1e-12)
     assert lorentz_matrix([0.75, 0, 0], np.zeros(3))[0, 0] == pytest.approx(1.25)
-
-
-def test_lorentz_matrix_factors():
-    assert np.array_equal(lorentz_matrix(np.zeros(3), np.zeros(3)), np.eye(4))
 
 
 @settings(max_examples=60, deadline=None)

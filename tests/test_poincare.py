@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -310,6 +312,16 @@ def test_group_params_stores_a_read_only_copy():
         g.a[0] = 1.0
     a[:] = 9.0  # the caller's array changes, the parameters do not
     assert np.array_equal(g.a, [0.1, 0.2, 0.3, 0.4]) and g.alpha == 0.5
+
+
+def test_params_are_immutable_and_pickle():
+    # no field can be rebound, and an element survives a pickle round trip
+    g = GroupParams(0.5, [0.1, 0.2, 0.3, 0.4], XLParams(omega=[0.3, 0.1, -0.4, 0.2]))
+    for obj, name in ((g, "alpha"), (g, "a"), (g.xl, "omega"), (g.xl, "_u")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 0.0)
+    h = pickle.loads(pickle.dumps(g))
+    assert np.array_equal(params_to_vector(h), params_to_vector(g))
 
 
 @pytest.mark.parametrize("alpha", ["x", {}, None, [1.0]],

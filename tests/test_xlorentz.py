@@ -7,11 +7,15 @@ from hypothesis import given, settings, strategies as st
 from xpoincare.algebra import ETA, exp_ad
 from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
-                               trig_h, trig_s)
-from xpoincare.poincare import _G5, GroupParams, _xl_adjoint10, compose, inverse
-from xpoincare.xlorentz import (_IDENTITY4, BFORM, XLParams, _dirac_coefficients,
-                                _xl_entries, b_residual, xl_decompose, xl_matrix)
+                               metric_residual, trig_h, trig_s)
+from xpoincare.poincare import (GroupParams, _matmul5, _tables, _xl_adjoint10, compose,
+                                inverse)
+from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, _dirac_strip,
+                                _omega_from_gs_column, _xl_entries, b_residual,
+                                xl_decompose, xl_matrix)
 
+_IDENTITY4 = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
+              0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0)
 COSH_HALF_PI = 2.5091784786580567
 SINH_HALF_PI = 2.3012989023072947
 
@@ -621,11 +625,12 @@ def _element_scale(d, t=0.0):
 
 def test_adjoint10_matches_basis_expansion():
     # oracle: 0.5 <G_C, D^-1 G_A D> over the generator basis; t does not enter
-    g5_dual = 0.5 * _G5.reshape(10, 25)
+    g5 = _tables().g5
+    g5_dual = 0.5 * g5.reshape(10, 25)
     worst = 0.0
     for g in _closed_form_draws():
         d = xl_matrix(g.xl)
-        ref = (BFORM @ d.T @ BFORM @ _G5 @ d).reshape(10, 25) @ g5_dual.T
+        ref = (BFORM @ d.T @ BFORM @ g5 @ d).reshape(10, 25) @ g5_dual.T
         err = np.abs(_xl_adjoint10(d) - ref).max()
         worst = max(worst, err / _element_scale(d))
     assert worst <= CLOSED_FORM_K, worst
@@ -688,3 +693,93 @@ def test_xl_matrix_and_inverse_match_mpmath(kind):
             scale = max(1, max(abs(x) for x in d) ** 2 * max(1, max(abs(x) for x in t)))
             worst_inv = max(worst_inv, float(err / scale) / EPS)
     assert worst_d <= CLOSED_FORM_K and worst_inv <= CLOSED_FORM_K
+
+
+# --- the float kernels of the group law against the numpy products they replaced
+# Draws: D2 D1 and D1 of 2000 narrow and 2000 wide sample_params pairs; the
+# residuals also see D2 D1 plus a 1e-3 perturbation and a random matrix,
+# where they are of order one.  Bound k eps max(1, |M|^2), M the input (for
+# the strip, |W(-omega)| |M|: omega recovered from a product outside the
+# chart can give |W| far above |M|).  Worst seen over three seeds: 5.1 eps
+# (b_residual), 4.4 (metric_residual), 2.4 (the product), 3.6 (the strip).
+
+FLOAT_KERNEL_K = 16
+
+
+def _kernel_draws():
+    rng = np.random.default_rng(43)
+    for wide in (False, True):
+        for _ in range(2000):
+            d2, d1 = (xl_matrix(sample_params(rng, wide).xl) for _ in range(2))
+            yield rng, d2, d1
+
+
+def _residual_inputs():
+    for rng, d2, d1 in _kernel_draws():
+        m = d2 @ d1
+        yield from (d1, m, m + rng.normal(size=(5, 5)) * 1e-3, rng.normal(size=(5, 5)))
+
+
+def test_b_residual_matches_matrix_product():
+    worst = 0.0
+    for m in _residual_inputs():
+        ref = np.abs(m.T @ BFORM @ m - BFORM).max()
+        worst = max(worst, abs(b_residual(m) - ref) / (EPS * max(1.0, np.abs(m).max() ** 2)))
+    assert worst <= FLOAT_KERNEL_K, worst
+
+
+def test_metric_residual_matches_matrix_product():
+    worst = 0.0
+    for m in _residual_inputs():
+        lam = m[:4, :4]
+        ref = np.abs(lam.T @ ETA @ lam - ETA).max()
+        err = abs(metric_residual(lam) - ref) / (EPS * max(1.0, np.abs(lam).max() ** 2))
+        worst = max(worst, err)
+    assert worst <= FLOAT_KERNEL_K, worst
+
+
+def test_float_product_matches_matmul():
+    worst = 0.0
+    for _, d2, d1 in _kernel_draws():
+        got = np.array(_matmul5(d2.tolist(), d1.ravel().tolist())).reshape(5, 5)
+        scale = EPS * max(1.0, max(np.abs(d2).max(), np.abs(d1).max()) ** 2)
+        worst = max(worst, np.abs(got - d2 @ d1).max() / scale)
+    assert worst <= FLOAT_KERNEL_K, worst
+
+
+def test_dirac_strip_matches_matrix_product():
+    # the rank-one W(-omega) M of xl_decompose, omega read off the Gs column
+    # as xl_decompose reads it
+    worst = 0.0
+    for _, d2, d1 in _kernel_draws():
+        m = d2 @ d1
+        omega = _omega_from_gs_column(*m[:, 4].tolist())
+        got = np.array(_dirac_strip(omega, m.ravel().tolist())).reshape(5, 5)
+        w = xl_matrix(XLParams(-np.array(omega)))
+        scale = EPS * max(1.0, np.abs(w).max() * np.abs(m).max())
+        worst = max(worst, np.abs(got - w @ m).max() / scale)
+    assert worst <= FLOAT_KERNEL_K, worst
+
+
+# --- xl_decompose over canonical narrow parameters, searched by hypothesis -----
+# omega = r n on the trig branch, n unit timelike with spatial part in
+# [-2, 2]^3 and r <= 2.5; |u| <= 2; |theta| <= pi.  Every such xl_matrix is
+# accepted and rebuilt within ROUNDTRIP_K eps max(1, |M|^2) (the bound of the
+# cut tests above).  derandomize=True: the same search on every run,
+# whatever the example database holds.
+
+_spatial = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_spatial, st.sampled_from([-1.0, 1.0]), st.floats(0.0, 2.5), _spatial,
+       _spatial, st.floats(0.0, math.pi))
+def test_decompose_roundtrip_canonical_narrow(v, sign, r, u, axis, angle):
+    v = np.array(v)
+    omega = r * np.array([sign * math.sqrt(1.0 + v @ v), *v])
+    u = np.array(u)
+    u *= min(1.0, 2.0 / max(np.linalg.norm(u), 1e-300))
+    axis = np.array(axis)
+    theta = axis / np.linalg.norm(axis) * angle if np.linalg.norm(axis) > 1e-9 else np.zeros(3)
+    M = xl_matrix(XLParams(omega, u, theta))
+    assert _roundtrip_in_eps(M) <= ROUNDTRIP_K
