@@ -11,7 +11,8 @@ function; the package is safe for concurrent use.
 
 Importing the package imports none of its modules: each public name below is
 imported from its module on first use (PEP 562), so a process that only
-composes, inverts or decomposes elements never loads numpy.
+composes, inverts or decomposes elements, or reads the integer table and its
+identities, never loads numpy.
 """
 
 from importlib import import_module

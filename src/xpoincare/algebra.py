@@ -16,21 +16,20 @@ diagonal signature for which the commutator table below satisfies the Jacobi
 identity exactly (see tests), and it makes the invariant quadratic form on the
 (P, Gs) block equal to diag(+1, -1, -1, -1, +1).
 
-Exact identities (antisymmetry, Jacobi, Casimir invariance) are evaluated in
-integer arithmetic; group-level matrices are double precision.
+The table is kept as its 100 nonzero entries (a, b, c, f) in Python ints, and
+the exact identities (antisymmetry, Jacobi, Casimir invariance) and the
+serialization run on those entries.  numpy is imported only by the array
+edges: `StructureConstants.dense`, `ETA`, `EPS3` and the float table (each
+made on first read), `commutator`, `casimir_lambda`, `casimir_mu`,
+`invariance_residual` and the exp(adjoint) oracle.
 """
 
 from __future__ import annotations
 
-import io
-import csv
 import itertools
-from dataclasses import dataclass
 from enum import IntEnum
 
-import numpy as np
-
-from ._names import GENERATOR_NAMES
+from ._names import GENERATOR_NAMES, _Frozen
 
 
 class GeneratorIndex(IntEnum):
@@ -56,26 +55,43 @@ class GeneratorIndex(IntEnum):
 _NAME_TO_ORDINAL = {n: i for i, n in enumerate(GENERATOR_NAMES)}
 
 # Minkowski metric, mostly-plus.  Normative for the whole package.
-ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
-ETA_INT = np.diag([-1, 1, 1, 1]).astype(np.int64)
-
-# Levi-Civita symbol, eps[0,1,2] = +1.
-EPS3 = np.zeros((3, 3, 3), dtype=np.int64)
-for _i, _j, _k in itertools.permutations(range(3)):
-    EPS3[_i, _j, _k] = int(np.linalg.det(np.eye(3)[[_i, _j, _k]]))
-for _arr in (ETA, ETA_INT, EPS3):
-    _arr.flags.writeable = False
+_ETA_DIAG = (-1, 1, 1, 1)
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """Dense table f[a, b, c] = f_ab^c of exact integer structure constants."""
+def _eps3(i, j, k) -> int:
+    """Levi-Civita symbol on 0..2, eps(0, 1, 2) = +1."""
+    return (i - j) * (j - k) * (k - i) // 2
 
-    dense: np.ndarray
 
-    def __post_init__(self):
-        assert self.dense.shape == (15, 15, 15)
-        self.dense.flags.writeable = False
+class StructureConstants(_Frozen):
+    """Exact integer structure constants f_ab^c, kept as the nonzero entries
+    (a, b, c, f); `dense` is the table f[a, b, c] as a read-only int64 array,
+    made on first read."""
+
+    __slots__ = ("_rows", "_dense")
+
+    def __init__(self, rows):
+        """`rows`: (a, b, c, f) ordinal tuples, both orders of each pair, as
+        `rows(both_orders=True)` lists them; zero values are dropped."""
+        object.__setattr__(self, "_rows", tuple(sorted(r for r in rows if r[3])))
+        object.__setattr__(self, "_dense", None)
+
+    @property
+    def dense(self) -> np.ndarray:
+        if self._dense is None:
+            import numpy as np
+            f = np.zeros((15, 15, 15), dtype=np.int64)
+            for a, b, c, v in self._rows:
+                f[a, b, c] = v
+            f.flags.writeable = False
+            object.__setattr__(self, "_dense", f)
+        return self._dense
+
+    def __repr__(self):
+        return f"StructureConstants(dense={self.dense!r})"
+
+    def __reduce__(self):
+        return StructureConstants, (self._rows,)
 
     def rows(self, both_orders: bool = False):
         """Nonzero entries as (a, b, c, f) ordinal tuples, lexicographic.
@@ -83,30 +99,21 @@ class StructureConstants:
         With both_orders=False only the a < b representative of each
         antisymmetric pair is listed.
         """
-        out = []
-        for a in range(15):
-            for b in range(15):
-                if not both_orders and a >= b:
-                    continue
-                for c in range(15):
-                    v = int(self.dense[a, b, c])
-                    if v:
-                        out.append((a, b, c, v))
-        return out
+        return [r for r in self._rows if both_orders or r[0] < r[1]]
 
 
-def _build_dense() -> np.ndarray:
-    f = np.zeros((15, 15, 15), dtype=np.int64)
+def _build_rows() -> list:
+    f = {}
 
     def add(a, b, c, val):
-        f[a, b, c] += val
-        f[b, a, c] -= val
+        f[a, b, c] = f.get((a, b, c), 0) + val
+        f[b, a, c] = f.get((b, a, c), 0) - val
 
     J, K, GAM, P, GS = 0, 3, 6, 10, 14
     for j in range(3):
         for k in range(j + 1, 3):
             for m in range(3):
-                e = int(EPS3[j, k, m])
+                e = _eps3(j, k, m)
                 if e:
                     add(J + j, J + k, J + m, e)            # [Jj, Jk] = i eps Jm
                     add(K + j, K + k, J + m, -e)           # [Kj, Kk] = -i eps Jm
@@ -114,7 +121,7 @@ def _build_dense() -> np.ndarray:
     for j in range(3):
         for k in range(3):
             for m in range(3):
-                e = int(EPS3[j, k, m])
+                e = _eps3(j, k, m)
                 if e:
                     add(J + j, K + k, K + m, e)            # [Jj, Kk] = i eps Km
                     add(GAM + 1 + j, J + k, GAM + 1 + m, e)  # [Gj, Jk] = i eps Gm
@@ -127,16 +134,39 @@ def _build_dense() -> np.ndarray:
         add(K + k - 1, P + k, P, -1)        # [Kj, Pk] = -i d_jk P0
     for mu in range(4):
         add(GAM + mu, P + mu, GS, -1)                       # [Gmu, Pnu] = -i d Gs
-        add(GAM + mu, GS, P + mu, -int(ETA_INT[mu, mu]))    # [Gmu, Gs] = -i eta Pnu
-    return f
+        add(GAM + mu, GS, P + mu, -_ETA_DIAG[mu])           # [Gmu, Gs] = -i eta Pnu
+    return [(a, b, c, v) for (a, b, c), v in f.items()]
 
 
-STRUCTURE_CONSTANTS = StructureConstants(_build_dense())
+STRUCTURE_CONSTANTS = StructureConstants(_build_rows())
 
 
-# Read-only float copy of the table, shared by adjoint_of and poincare.oplus.
-_F_FLOAT = STRUCTURE_CONSTANTS.dense.astype(float)
-_F_FLOAT.flags.writeable = False
+# The numpy tables, each made on its first read and kept, read-only: ETA,
+# ETA_INT, EPS3 and the float copy of the table that adjoint_of and
+# poincare.oplus share.
+_ARRAYS = {
+    "ETA": lambda np: np.diag(np.array(_ETA_DIAG, dtype=float)),
+    "ETA_INT": lambda np: np.diag(np.array(_ETA_DIAG, dtype=np.int64)),
+    "EPS3": lambda np: np.array([[[_eps3(i, j, k) for k in range(3)] for j in range(3)]
+                                 for i in range(3)], dtype=np.int64),
+    "_F_FLOAT": lambda np: STRUCTURE_CONSTANTS.dense.astype(float),
+}
+
+
+def _array(name: str):
+    value = globals().get(name)
+    if value is None:
+        import numpy as np
+        value = _ARRAYS[name](np)
+        value.flags.writeable = False
+        globals()[name] = value
+    return value
+
+
+def __getattr__(name):
+    if name not in _ARRAYS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _array(name)
 
 
 def commutator(x, y) -> np.ndarray:
@@ -144,40 +174,65 @@ def commutator(x, y) -> np.ndarray:
 
     Exact for integer-valued inputs.
     """
+    import numpy as np
     x = np.asarray(x)
     y = np.asarray(y)
     return np.einsum("a,b,abc->c", x, y, STRUCTURE_CONSTANTS.dense)
 
 
-@dataclass
 class JacobiReport:
-    max_violation: int
-    violations: list  # (a_name, b_name, c_name, worst_e_name, value)
+    """Largest Jacobi defect, and one (a_name, b_name, c_name, worst_e_name,
+    value) tuple per violating triple."""
+
+    __slots__ = ("max_violation", "violations")
+
+    def __init__(self, max_violation: int, violations: list):
+        self.max_violation = max_violation
+        self.violations = violations
+
+    def __repr__(self):
+        return (f"JacobiReport(max_violation={self.max_violation!r}, "
+                f"violations={self.violations!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.max_violation, self.violations) == (other.max_violation,
+                                                         other.violations)
 
 
 def jacobi_check(table: StructureConstants | None = None) -> JacobiReport:
-    """Evaluate the Jacobi identity over all 455 unordered generator triples."""
-    f = (table or STRUCTURE_CONSTANTS).dense
-    t = (np.einsum("abd,dce->abce", f, f)
-         + np.einsum("bcd,dae->abce", f, f)
-         + np.einsum("cad,dbe->abce", f, f))
+    """Evaluate the Jacobi identity over all 455 unordered generator triples.
+
+    For a < b < c the defect is t_e = f_ab^d f_dc^e + f_bc^d f_da^e +
+    f_ca^d f_db^e, summed over the nonzero entries; a triple with a nonzero
+    t is reported at the first e of largest |t_e|.
+    """
+    brackets = {}  # (a, b) -> [(c, f_ab^c)]
+    for a, b, c, v in (table or STRUCTURE_CONSTANTS).rows(both_orders=True):
+        brackets.setdefault((a, b), []).append((c, v))
     violations = []
     worst = 0
     for a, b, c in itertools.combinations(range(15), 3):
-        row = t[a, b, c]
-        m = int(np.abs(row).max())
+        t = [0] * 15
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for d, u in brackets.get((x, y), ()):
+                for e, w in brackets.get((d, z), ()):
+                    t[e] += u * w
+        size = [abs(v) for v in t]
+        m = max(size)
         if m:
-            e = int(np.abs(row).argmax())
+            e = size.index(m)
             violations.append((GENERATOR_NAMES[a], GENERATOR_NAMES[b],
-                               GENERATOR_NAMES[c], GENERATOR_NAMES[e],
-                               int(row[e])))
+                               GENERATOR_NAMES[c], GENERATOR_NAMES[e], t[e]))
             worst = max(worst, m)
     return JacobiReport(worst, violations)
 
 
 def adjoint_of(x) -> np.ndarray:
     """Sum_a x_a F_a for a coefficient 15-vector x, (F_a)[r, s] = f_ar^s."""
-    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), _F_FLOAT)
+    import numpy as np
+    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), _array("_F_FLOAT"))
 
 
 def exp_ad(x, t: float = 1.0) -> np.ndarray:
@@ -191,15 +246,45 @@ def exp_ad(x, t: float = 1.0) -> np.ndarray:
     return expm(float(t) * adjoint_of(x))
 
 
+def _diagonal(d) -> tuple:
+    return tuple(tuple(x if i == j else 0 for j in range(15)) for i, x in enumerate(d))
+
+
+# The quadratic forms of the two Casimirs, as 15 rows of ints.
+_CASIMIR_LAMBDA = _diagonal((1, 1, 1, -1, -1, -1, 1, -1, -1, -1, 0, 0, 0, 0, 0))
+_CASIMIR_MU = _diagonal((0,) * 10 + (1, -1, -1, -1, 1))
+
+
 def casimir_lambda() -> np.ndarray:
     """Coefficient matrix of J.J - K.K + Gam0 Gam0 - Gam.Gam (integer 15x15)."""
-    return np.diag(np.array([1, 1, 1, -1, -1, -1, 1, -1, -1, -1, 0, 0, 0, 0, 0],
-                            dtype=np.int64))
+    import numpy as np
+    return np.array(_CASIMIR_LAMBDA, dtype=np.int64)
 
 
 def casimir_mu() -> np.ndarray:
     """Coefficient matrix of Gs^2 - eta^{bn} P_b P_n (integer 15x15)."""
-    return np.diag(np.array([0] * 10 + [1, -1, -1, -1, 1], dtype=np.int64))
+    import numpy as np
+    return np.array(_CASIMIR_MU, dtype=np.int64)
+
+
+def _invariance_residual(k, table: StructureConstants | None = None) -> list:
+    """Per-row max |F_r^T K + K F_r| as 15 ints, for K given as 15 rows of
+    ints: with (F_r)[s, t] = f_rs^t, each nonzero entry adds v K[s, :] to
+    row t and v K[:, s] to column t."""
+    by_row = [[] for _ in range(15)]
+    for r, s, t, v in (table or STRUCTURE_CONSTANTS).rows(both_orders=True):
+        by_row[r].append((s, t, v))
+    out = []
+    for entries in by_row:
+        m = [[0] * 15 for _ in range(15)]
+        for s, t, v in entries:
+            row_t, k_s = m[t], k[s]
+            for j in range(15):
+                row_t[j] += v * k_s[j]
+            for i in range(15):
+                m[i][t] += k[i][s] * v
+        out.append(max(abs(x) for row in m for x in row))
+    return out
 
 
 def invariance_residual(kmat: np.ndarray,
@@ -207,27 +292,23 @@ def invariance_residual(kmat: np.ndarray,
     """Per-row max |F_r^T K + K F_r|, the adjoint-invariance defect of K.
 
     Exactly zero in row r iff the quadratic form K commutes with generator r.
-    Integer arithmetic throughout.
+    Integer arithmetic throughout; K is read as an int64 array and the result
+    is an int64 array of 15.
     """
-    f = (table or STRUCTURE_CONSTANTS).dense
-    kmat = np.asarray(kmat, dtype=np.int64)
-    out = np.zeros(15, dtype=np.int64)
-    for r in range(15):
-        fr = f[r]
-        out[r] = np.abs(fr.T @ kmat + kmat @ fr).max()
-    return out
+    import numpy as np
+    k = np.asarray(kmat, dtype=np.int64).tolist()
+    return np.array(_invariance_residual(k, table), dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
 # serialization of the structure-constant table (CSV / JSON object)
 
 def table_to_csv(both_orders: bool = False) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(["a", "b", "c", "f"])
+    # no field contains a comma or a quote, so no field is quoted
+    rows = ["a,b,c,f\n"]
     for a, b, c, v in STRUCTURE_CONSTANTS.rows(both_orders):
-        w.writerow([GENERATOR_NAMES[a], GENERATOR_NAMES[b], GENERATOR_NAMES[c], v])
-    return buf.getvalue()
+        rows.append(f"{GENERATOR_NAMES[a]},{GENERATOR_NAMES[b]},{GENERATOR_NAMES[c]},{v}\n")
+    return "".join(rows)
 
 
 def table_to_json_obj(both_orders: bool = False) -> dict:
@@ -260,8 +341,7 @@ def table_from_json_obj(obj) -> StructureConstants:
     if not isinstance(entries, list):
         raise ValueError("structure-constant table must be an object "
                          "with an 'entries' list")
-    f = np.zeros((15, 15, 15), dtype=np.int64)
-    seen = set()
+    f = {}
     for row in entries:
         if not isinstance(row, dict):
             raise ValueError(f"entry {row!r} is not an object")
@@ -272,8 +352,6 @@ def table_from_json_obj(obj) -> StructureConstants:
         if a == b:
             raise ValueError(f"diagonal entry not allowed: {row}")
         f[a, b, c] = v
-        seen.add((a, b, c))
-    for a, b, c in list(seen):
-        if (b, a, c) not in seen:
-            f[b, a, c] = -f[a, b, c]
-    return StructureConstants(f)
+    for (a, b, c), v in list(f.items()):  # a listed partner is kept as listed
+        f.setdefault((b, a, c), -v)
+    return StructureConstants((a, b, c, v) for (a, b, c), v in f.items())

@@ -16,8 +16,9 @@ All numeric output is printed with 17 significant digits and a fixed key
 order, so identical inputs (and seeds) produce byte-identical output.
 
 The element commands (compose, invert, decompose and theta --numeric) run on
-the float core of the group law and never import numpy; oplus,
-theta --closed, check and dump-algebra import it inside the command.
+the float core of the group law, and dump-algebra and the jacobi and casimir
+suites of check on the integer layer; none of them imports numpy.  oplus,
+theta --closed and the sampled suites of check import it inside the command.
 """
 
 from __future__ import annotations
@@ -168,9 +169,9 @@ def cmd_invert(args) -> int:
 
 
 def _quiet_numpy():
-    """numpy's floating-point warnings silenced, for the commands that run
-    numpy: an overflow turns into inf/NaN, which a gate or the output check
-    rejects with one `error:` line, and a warning would add lines to stderr."""
+    """numpy's floating-point warnings silenced, for oplus and theta --closed:
+    an overflow turns into inf/NaN, which a gate or the output check rejects
+    with one `error:` line, and a warning would add lines to stderr."""
     import numpy as np
     return np.errstate(all="ignore")
 
@@ -219,8 +220,7 @@ def cmd_check(args) -> int:
     table = None
     if args.constants:
         table = table_from_json_obj(_load_json(args.constants))
-    with _quiet_numpy():
-        report = run_suite(args.suite, args.trials, args.seed, table)
+    report = run_suite(args.suite, args.trials, args.seed, table)
     _print(report)
     return 0 if report["pass"] else PROPERTY_FAILURE
 

@@ -36,10 +36,11 @@ import functools
 import math
 from types import SimpleNamespace
 
+from ._names import _Frozen
 from .lorentz import _lorentz_entries, rapidity
 from .xlorentz import (_BDIAG, XLParams, _array_field, _dirac_coefficients,
-                       _float_entries, _Frozen, _xl_decompose, _xl_entries,
-                       xl_decompose, xl_matrix)
+                       _float_entries, _xl_decompose, _xl_entries, xl_decompose,
+                       xl_matrix)
 
 
 class GroupParams(_Frozen):

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 
+from ._names import _Frozen
 from .lorentz import (DecompositionError, _lorentz_entries, _lorentz_params,
                       _max_abs, trig_h, trig_s)
 
@@ -136,20 +137,6 @@ def _array_field(name: str):
         return a
 
     return property(read, doc=f"{name} as a read-only float ndarray")
-
-
-class _Frozen:
-    """Immutable after __init__, which sets the slots with object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 class XLParams(_Frozen):

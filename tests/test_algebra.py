@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from xpoincare.algebra import (GENERATOR_NAMES, STRUCTURE_CONSTANTS,
                                GeneratorIndex as G, adjoint_of, casimir_lambda,
                                casimir_mu, commutator, exp_ad,
                                invariance_residual, jacobi_check,
-                               table_from_json_obj, table_to_json_obj)
+                               table_from_json_obj, table_to_csv, table_to_json_obj)
 import xpoincare
 from xpoincare.checks import element_doc, run_suite, suite_oracle
 from xpoincare.cli import canonical_json
@@ -86,6 +87,109 @@ def test_jacobi_detects_mutated_table():
     assert comp <= {"K1", "K2", "K3"}
 
 
+def _dense_from_obj(obj):
+    """The table of a JSON object as a dense int64 array, partners implied."""
+    f = np.zeros((15, 15, 15), dtype=np.int64)
+    listed = set()
+    for row in obj["entries"]:
+        a, b, c = (GENERATOR_NAMES.index(row[k]) for k in "abc")
+        f[a, b, c] = row["f"]
+        listed.add((a, b, c))
+    for a, b, c in listed:
+        if (b, a, c) not in listed:
+            f[b, a, c] = -f[a, b, c]
+    return f
+
+
+def _jacobi_oracle(f):
+    """(max_violation, violations) of the dense table f, by einsum."""
+    t = (np.einsum("abd,dce->abce", f, f)
+         + np.einsum("bcd,dae->abce", f, f)
+         + np.einsum("cad,dbe->abce", f, f))
+    worst, violations = 0, []
+    for a, b, c in itertools.combinations(range(15), 3):
+        row = t[a, b, c]
+        m = int(np.abs(row).max())
+        if m:
+            e = int(np.abs(row).argmax())
+            violations.append(tuple(GENERATOR_NAMES[i] for i in (a, b, c, e))
+                              + (int(row[e]),))
+            worst = max(worst, m)
+    return worst, violations
+
+
+def _invariance_oracle(f, k):
+    return [int(np.abs(f[r].T @ k + k @ f[r]).max()) for r in range(15)]
+
+
+def _flipped_tables(both_orders):
+    """The table, then each single-entry sign flip of its JSON form."""
+    yield table_to_json_obj(both_orders)
+    for i in range(len(table_to_json_obj(both_orders)["entries"])):
+        obj = table_to_json_obj(both_orders)
+        obj["entries"][i]["f"] *= -1
+        yield obj
+
+
+@pytest.mark.parametrize("both_orders", [False, True])
+def test_integer_layer_matches_dense_oracle(both_orders):
+    # one order: the flip keeps the table antisymmetric and breaks Jacobi and
+    # the Casimirs; both orders: the flip breaks antisymmetry as well
+    broken = 0
+    for obj in _flipped_tables(both_orders):
+        table = table_from_json_obj(obj)
+        f = _dense_from_obj(obj)
+        assert np.array_equal(table.dense, f)
+        rep = jacobi_check(table)
+        assert (rep.max_violation, rep.violations) == _jacobi_oracle(f)
+        for k in (casimir_mu(), casimir_lambda()):
+            assert invariance_residual(k, table).tolist() == _invariance_oracle(f, k)
+        props = {p["name"]: p["max_residual"]
+                 for p in run_suite("jacobi", 1, 0, table)["properties"]}
+        assert props["antisymmetry-exact"] == np.abs(f + np.swapaxes(f, 0, 1)).max()
+        assert props["extended-translations-commute"] == np.abs(f[10:, 10:]).max()
+        broken += rep.max_violation > 0
+    assert broken == len(table_to_json_obj(both_orders)["entries"])
+
+
+def test_invariance_residual_of_a_full_matrix():
+    # a K that is neither diagonal nor symmetric reads the same as the oracle
+    k = np.random.default_rng(1).integers(-3, 4, size=(15, 15))
+    assert invariance_residual(k).tolist() == _invariance_oracle(STRUCTURE_CONSTANTS.dense, k)
+
+
+def test_tables_keep_their_arrays():
+    # the numpy tables are made on first read with the values, dtypes and
+    # read-only flags they had as module constants
+    eps = np.zeros((3, 3, 3), dtype=np.int64)
+    for p in itertools.permutations(range(3)):
+        eps[p] = round(np.linalg.det(np.eye(3)[list(p)]))
+    want = {"ETA": np.diag([-1.0, 1.0, 1.0, 1.0]), "EPS3": eps,
+            "ETA_INT": np.diag([-1, 1, 1, 1]).astype(np.int64),
+            "_F_FLOAT": STRUCTURE_CONSTANTS.dense.astype(float),
+            "dense": STRUCTURE_CONSTANTS.dense}
+    for name, ref in want.items():
+        got = getattr(STRUCTURE_CONSTANTS if name == "dense" else xpoincare.algebra, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert not got.flags.writeable, name
+    assert len(STRUCTURE_CONSTANTS.rows(both_orders=True)) == 100
+
+
+def test_table_and_report_are_plain_values():
+    import dataclasses
+    import pickle
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        STRUCTURE_CONSTANTS.dense = None
+    t = pickle.loads(pickle.dumps(STRUCTURE_CONSTANTS))
+    assert t.rows(both_orders=True) == STRUCTURE_CONSTANTS.rows(both_orders=True)
+    assert repr(t) == f"StructureConstants(dense={STRUCTURE_CONSTANTS.dense!r})"
+    rep = jacobi_check()
+    assert repr(rep) == "JacobiReport(max_violation=0, violations=[])"
+    flipped = table_to_json_obj()
+    flipped["entries"][0]["f"] *= -1
+    assert rep == jacobi_check() and rep != jacobi_check(table_from_json_obj(flipped))
+
+
 def test_ad_matrix_p0_pattern():
     # Gam rows couple into the Gs column; K rows carry the boost action on P
     F = adjoint_of(basis(G.P0))
@@ -145,8 +249,10 @@ def _matrix_text(m):
 
 def test_element_commands_do_not_load_numpy(tmp_path):
     # compose, invert, decompose and theta (--numeric by default) run on the
-    # float core; oplus, theta --closed and check import numpy inside the
-    # command, and every command prints the library's in-process bytes
+    # float core, and dump-algebra and the jacobi and casimir suites of check
+    # on the integer layer; oplus, theta --closed and the sampled suites of
+    # check import numpy inside the command.  The numpy-free commands run
+    # first, and every command prints the library's in-process bytes
     g2 = GroupParams(0.5, [1.0, -2.0, 0.3, 4.0],
                      XLParams([0.3, 0.1, -0.4, 0.2], [0.4, -0.3, 0.2], [0.5, 0.6, -0.7]))
     g1 = GroupParams(-1.5, [0.2, 0.7, -0.1, 1.0],
@@ -157,7 +263,7 @@ def test_element_commands_do_not_load_numpy(tmp_path):
     files = {}
     for name, obj in (("g2", element_doc(g2)), ("g1", element_doc(g1)),
                       ("m", {"matrix": m.tolist()}), ("outside", {"matrix": outside.tolist()}),
-                      ("big", {"omega": [0, 400, 0, 0]})):
+                      ("big", {"omega": [0, 400, 0, 0]}), ("table", table_to_json_obj())):
         files[name] = str(tmp_path / f"{name}.json")
         with open(files[name], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
@@ -165,16 +271,27 @@ def test_element_commands_do_not_load_numpy(tmp_path):
     def doc(g):
         return canonical_json(element_doc(g)) + "\n"
 
+    def report(*args):
+        return canonical_json(run_suite(*args)) + "\n"
+
     cases = [  # argv, exit code, stdout, numpy loaded afterwards
         (["compose", files["g2"], files["g1"]], 0, doc(compose(g2, g1)), False),
         (["invert", files["g2"]], 0, doc(inverse(g2)), False),
         (["decompose", "--matrix", files["m"]], 0, doc(GroupParams(xl=xl_decompose(m))), False),
         (["decompose", "--matrix", files["outside"]], 3, "", False),
         (["theta", files["g2"]], 0, _matrix_text(theta_numeric(g2)), False),
+        (["check", "--suite", "jacobi", "--trials", "10", "--seed", "3"], 0,
+         report("jacobi", 10, 3), False),
+        (["check", "--suite", "casimir"], 0, report("casimir", 200, 0), False),
+        (["check", "--suite", "jacobi", "--constants", files["table"]], 0,
+         report("jacobi", 200, 0, table_from_json_obj(table_to_json_obj())), False),
+        (["dump-algebra", "--format", "csv", "--full"], 0, table_to_csv(True), False),
+        (["dump-algebra", "--format", "json"], 0,
+         canonical_json(table_to_json_obj()) + "\n", False),
         (["oplus", files["g1"]], 0, _matrix_text(oplus(g1)), True),
         (["theta", files["g2"], "--closed"], 0, _matrix_text(theta_closed(g2)), True),
-        (["check", "--suite", "jacobi", "--trials", "10", "--seed", "3"], 0,
-         canonical_json(run_suite("jacobi", 10, 3)) + "\n", True),
+        (["check", "--suite", "theta", "--trials", "10", "--seed", "3"], 0,
+         report("theta", 10, 3), True),
         (["oplus", files["big"]], 2, "", True),
     ]
     src = os.path.dirname(os.path.dirname(xpoincare.__file__))
