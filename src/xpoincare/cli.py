@@ -15,10 +15,10 @@ Exit codes: 0 success, 2 parse error (or an element whose W(omega), L(u) or
 All numeric output is printed with 17 significant digits and a fixed key
 order, so identical inputs (and seeds) produce byte-identical output.
 
-The element commands (compose, invert, decompose and theta --numeric) run on
+The element commands (compose, invert, oplus, theta and decompose) run on
 the float core of the group law, and dump-algebra and the jacobi and casimir
-suites of check on the integer layer; none of them imports numpy.  oplus,
-theta --closed and the sampled suites of check import it inside the command.
+suites of check on the integer layer; none of them imports numpy.  Only the
+sampled suites of check import it, inside the command.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ import sys
 
 from ._names import GENERATOR_NAMES, SUITE_NAMES
 from .lorentz import DecompositionError
-from .poincare import (GroupParams, _theta_numeric, compose, element_doc, inverse,
-                       oplus, theta_closed)
+from .poincare import (GroupParams, _oplus_entries, _theta_closed_entries,
+                       _theta_numeric, compose, element_doc, inverse)
 from .xlorentz import XLParams, _float_entries, _xl_decompose
 
 PARSE_ERROR, UNREACHABLE, PROPERTY_FAILURE = 2, 3, 4
@@ -168,36 +168,26 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _quiet_numpy():
-    """numpy's floating-point warnings silenced, for oplus and theta --closed:
-    an overflow turns into inf/NaN, which a gate or the output check rejects
-    with one `error:` line, and a warning would add lines to stderr."""
-    import numpy as np
-    return np.errstate(all="ignore")
+def _rows(e: list) -> list:
+    """The 15 rows of the 15x15 matrix with entries e, row by row."""
+    return [e[i:i + 15] for i in range(0, 225, 15)]
 
 
 def cmd_oplus(args) -> int:
-    g = load_element(args.element)
-    with _quiet_numpy():
-        m = oplus(g).tolist()
+    e = _oplus_entries(load_element(args.element))
     # the inputs are finite, so a non-finite entry is a float64 overflow
     # (the 2x2 minors of W can read inf - inf where the exact value is 1)
-    bad = next(((i, j) for i, row in enumerate(m) for j, x in enumerate(row)
-                if not math.isfinite(x)), None)
+    bad = next((k for k, x in enumerate(e) if not math.isfinite(x)), None)
     if bad is not None:
-        row, col = (GENERATOR_NAMES[i] for i in bad)
+        row, col = (GENERATOR_NAMES[i] for i in divmod(bad, 15))
         raise ValueError(f"oplus entry ({row}, {col}) overflows float64")
-    _matrix_out(m, args.labels, args.csv)
+    _matrix_out(_rows(e), args.labels, args.csv)
     return 0
 
 
 def cmd_theta(args) -> int:
     g = load_element(args.element)
-    if args.closed:
-        with _quiet_numpy():
-            m = theta_closed(g).tolist()
-    else:
-        m = _theta_numeric(g)
+    m = _rows(_theta_closed_entries(g)) if args.closed else _theta_numeric(g)
     _matrix_out(m, args.labels, args.csv)
     return 0
 

@@ -25,22 +25,20 @@ evaluates that rule in closed form and `compose_via_affine` as matrix
 products; both factor the same product D2 D1, so they agree to rounding and
 the second is a check of the first's bookkeeping, not an independent formula.
 
-`compose`, `inverse` and the structure matrix `theta_numeric` run on Python
-floats; numpy is imported by the functions that take or return arrays, and
-the tables of `oplus` and `theta_closed` are built on their first call.
+The group law runs on Python floats: `compose`, `inverse`, `oplus`,
+`theta_numeric` and `theta_closed` each have a float core, and numpy is
+imported only by the functions that take or return arrays, each a thin edge
+of its core.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from types import SimpleNamespace
 
 from ._names import _Frozen
 from .lorentz import _lorentz_entries, rapidity
-from .xlorentz import (_BDIAG, XLParams, _array_field, _dirac_coefficients,
-                       _float_entries, _xl_decompose, _xl_entries, xl_decompose,
-                       xl_matrix)
+from .xlorentz import (XLParams, _array_field, _dirac_coefficients, _float_entries,
+                       _xl_decompose, _xl_entries, xl_decompose, xl_matrix)
 
 
 class GroupParams(_Frozen):
@@ -192,51 +190,106 @@ def inverse(g: GroupParams) -> GroupParams:
 
 # --- fundamental representation ----------------------------------------------
 
-# The ten extended-Lorentz generators act faithfully on the (P, Gs) block;
-# their images G_A there form a basis of the B-antisymmetric matrices with
-# disjoint supports {(i, j), (j, i)}, i < j, and entries +-1.  Expanding
-# D^{-1} G_A D = B D^T B G_A D in that basis gives the 10x10 sector as the
-# second exterior power of D:
-#     Ad[A, C] = sigma_A sigma_C (D[i, k] D[j, l] - D[i, l] D[j, k]),
-# (i, j) the support of G_A, (k, l) that of G_C, sigma_A = G_A[i, j] B[i, i].
-# minor_plus/minor_minus index the two products in outer(D, D).ravel(), with
-# the sign folded in by swapping them.
-
-
-@functools.cache
-def _tables() -> SimpleNamespace:
-    """The numpy tables of oplus and theta_closed, built on their first call:
-    g5, the G_A; f_trans, t = (a, alpha) -> the only block off the identity
-    of the translation factor; minor_plus and minor_minus; and theta_fixed,
-    the entries of theta_closed free of g, with eta and eps3."""
+def _array15(e) -> np.ndarray:
+    """A fresh, writable 15x15 float64 array of the 225 entries e, row by
+    row.  Packed to bytes and copied once: faster than np.array or
+    np.fromiter of the list, which convert entry by entry, and the array
+    owns its memory, as theirs do."""
+    import struct
     import numpy as np
-    from .algebra import _F_FLOAT, EPS3, ETA
-    g5 = _F_FLOAT[:10, 10:, 10:]
-    support = []
-    for G in g5:
-        i, j = (int(x) for x in np.argwhere(G)[0])
-        support.append((i, j, G[i, j] * _BDIAG[i]))
-    plus, minus = np.empty((2, 10, 10), dtype=np.intp)
-    for A, (i, j, sa) in enumerate(support):
-        for C, (k, l, sc) in enumerate(support):
-            pair = ((5 * i + k) * 25 + 5 * j + l, (5 * i + l) * 25 + 5 * j + k)
-            plus[A, C], minus[A, C] = pair if sa * sc > 0 else pair[::-1]
-    fixed = np.full((15, 15), np.nan)
-    fixed[:, 10:] = fixed[10:, :10] = 0.0
-    fixed[10:, 10:] = np.eye(5)        # a^b row, a^m col: delta; alpha-alpha: 1
-    eps3 = EPS3.astype(float)
-    for table in (plus, minus, fixed, eps3):
-        table.flags.writeable = False
-    return SimpleNamespace(g5=g5, f_trans=_F_FLOAT[10:, :10, 10:].reshape(5, 50),
-                           minor_plus=plus, minor_minus=minus,
-                           theta_fixed=fixed, eta=ETA, eps3=eps3)
+    return np.frombuffer(struct.pack("225d", *e)).copy().reshape(15, 15)
 
 
-def _xl_adjoint10(d5: np.ndarray) -> np.ndarray:
-    tables = _tables()
-    d = d5.ravel()
-    o = (d[:, None] * d).ravel()
-    return o[tables.minor_plus] - o[tables.minor_minus]
+def _oplus_entries(g: GroupParams) -> list:
+    """The 225 entries of oplus(g), row by row, as Python floats, from one
+    build of D.
+
+    The ten extended-Lorentz generators act faithfully on the (P, Gs) block;
+    their images G_A there form a basis of the B-antisymmetric matrices with
+    disjoint supports {(i, j), (j, i)} and entries +-1.  Expanding
+    D^{-1} G_A D = B D^T B G_A D in that basis gives the 10x10 block as the
+    second exterior power of D:
+        Ad[A, C] = D[i, k] D[j, l] - D[i, l] D[j, k],
+    (i, j) the support of G_A and (k, l) that of G_C, each ordered so that
+    G_A[i, j] B[i, i] = +1, which folds in the sign.  Row A of the
+    translation block is (sum_b t_b F_b)[A, (P, Gs)] D, with t = (a, alpha)
+    and F_b the adjoint matrices of P0..P3, Gs; that row of the sum is +-t
+    entries on A's support, so it reads p D[i, :] + q D[j, :].  The (P, Gs)
+    block is D.  Written out, as _b_residual is: loops, or a helper called
+    once per row, were slower.
+    """
+    x = g.xl
+    d00, d01, d02, d03, d04, d10, d11, d12, d13, d14, d20, d21, d22, d23, d24, \
+        d30, d31, d32, d33, d34, d40, d41, d42, d43, d44 = \
+        _xl_entries(x._omega, _lorentz_entries(x._u, x._theta))
+    t0, t1, t2, t3 = g._a
+    t4 = g.alpha
+    return [  # J1: rows (3, 2) of D
+            d33 * d22 - d32 * d23, d31 * d23 - d33 * d21, d32 * d21 - d31 * d22,
+            d31 * d20 - d30 * d21, d32 * d20 - d30 * d22, d33 * d20 - d30 * d23,
+            d34 * d20 - d30 * d24, d31 * d24 - d34 * d21, d32 * d24 - d34 * d22,
+            d33 * d24 - d34 * d23, t3 * d20 - t2 * d30, t3 * d21 - t2 * d31,
+            t3 * d22 - t2 * d32, t3 * d23 - t2 * d33, t3 * d24 - t2 * d34,
+            # J2: rows (1, 3) of D
+            d13 * d32 - d12 * d33, d11 * d33 - d13 * d31, d12 * d31 - d11 * d32,
+            d11 * d30 - d10 * d31, d12 * d30 - d10 * d32, d13 * d30 - d10 * d33,
+            d14 * d30 - d10 * d34, d11 * d34 - d14 * d31, d12 * d34 - d14 * d32,
+            d13 * d34 - d14 * d33, t1 * d30 - t3 * d10, t1 * d31 - t3 * d11,
+            t1 * d32 - t3 * d12, t1 * d33 - t3 * d13, t1 * d34 - t3 * d14,
+            # J3: rows (2, 1) of D
+            d23 * d12 - d22 * d13, d21 * d13 - d23 * d11, d22 * d11 - d21 * d12,
+            d21 * d10 - d20 * d11, d22 * d10 - d20 * d12, d23 * d10 - d20 * d13,
+            d24 * d10 - d20 * d14, d21 * d14 - d24 * d11, d22 * d14 - d24 * d12,
+            d23 * d14 - d24 * d13, t2 * d10 - t1 * d20, t2 * d11 - t1 * d21,
+            t2 * d12 - t1 * d22, t2 * d13 - t1 * d23, t2 * d14 - t1 * d24,
+            # K1: rows (1, 0) of D
+            d13 * d02 - d12 * d03, d11 * d03 - d13 * d01, d12 * d01 - d11 * d02,
+            d11 * d00 - d10 * d01, d12 * d00 - d10 * d02, d13 * d00 - d10 * d03,
+            d14 * d00 - d10 * d04, d11 * d04 - d14 * d01, d12 * d04 - d14 * d02,
+            d13 * d04 - d14 * d03, t1 * d00 + t0 * d10, t1 * d01 + t0 * d11,
+            t1 * d02 + t0 * d12, t1 * d03 + t0 * d13, t1 * d04 + t0 * d14,
+            # K2: rows (2, 0) of D
+            d23 * d02 - d22 * d03, d21 * d03 - d23 * d01, d22 * d01 - d21 * d02,
+            d21 * d00 - d20 * d01, d22 * d00 - d20 * d02, d23 * d00 - d20 * d03,
+            d24 * d00 - d20 * d04, d21 * d04 - d24 * d01, d22 * d04 - d24 * d02,
+            d23 * d04 - d24 * d03, t2 * d00 + t0 * d20, t2 * d01 + t0 * d21,
+            t2 * d02 + t0 * d22, t2 * d03 + t0 * d23, t2 * d04 + t0 * d24,
+            # K3: rows (3, 0) of D
+            d33 * d02 - d32 * d03, d31 * d03 - d33 * d01, d32 * d01 - d31 * d02,
+            d31 * d00 - d30 * d01, d32 * d00 - d30 * d02, d33 * d00 - d30 * d03,
+            d34 * d00 - d30 * d04, d31 * d04 - d34 * d01, d32 * d04 - d34 * d02,
+            d33 * d04 - d34 * d03, t3 * d00 + t0 * d30, t3 * d01 + t0 * d31,
+            t3 * d02 + t0 * d32, t3 * d03 + t0 * d33, t3 * d04 + t0 * d34,
+            # Gam0: rows (4, 0) of D
+            d43 * d02 - d42 * d03, d41 * d03 - d43 * d01, d42 * d01 - d41 * d02,
+            d41 * d00 - d40 * d01, d42 * d00 - d40 * d02, d43 * d00 - d40 * d03,
+            d44 * d00 - d40 * d04, d41 * d04 - d44 * d01, d42 * d04 - d44 * d02,
+            d43 * d04 - d44 * d03, t0 * d40 - t4 * d00, t0 * d41 - t4 * d01,
+            t0 * d42 - t4 * d02, t0 * d43 - t4 * d03, t0 * d44 - t4 * d04,
+            # Gam1: rows (1, 4) of D
+            d13 * d42 - d12 * d43, d11 * d43 - d13 * d41, d12 * d41 - d11 * d42,
+            d11 * d40 - d10 * d41, d12 * d40 - d10 * d42, d13 * d40 - d10 * d43,
+            d14 * d40 - d10 * d44, d11 * d44 - d14 * d41, d12 * d44 - d14 * d42,
+            d13 * d44 - d14 * d43, t4 * d10 + t1 * d40, t4 * d11 + t1 * d41,
+            t4 * d12 + t1 * d42, t4 * d13 + t1 * d43, t4 * d14 + t1 * d44,
+            # Gam2: rows (2, 4) of D
+            d23 * d42 - d22 * d43, d21 * d43 - d23 * d41, d22 * d41 - d21 * d42,
+            d21 * d40 - d20 * d41, d22 * d40 - d20 * d42, d23 * d40 - d20 * d43,
+            d24 * d40 - d20 * d44, d21 * d44 - d24 * d41, d22 * d44 - d24 * d42,
+            d23 * d44 - d24 * d43, t4 * d20 + t2 * d40, t4 * d21 + t2 * d41,
+            t4 * d22 + t2 * d42, t4 * d23 + t2 * d43, t4 * d24 + t2 * d44,
+            # Gam3: rows (3, 4) of D
+            d33 * d42 - d32 * d43, d31 * d43 - d33 * d41, d32 * d41 - d31 * d42,
+            d31 * d40 - d30 * d41, d32 * d40 - d30 * d42, d33 * d40 - d30 * d43,
+            d34 * d40 - d30 * d44, d31 * d44 - d34 * d41, d32 * d44 - d34 * d42,
+            d33 * d44 - d34 * d43, t4 * d30 + t3 * d40, t4 * d31 + t3 * d41,
+            t4 * d32 + t3 * d42, t4 * d33 + t3 * d43, t4 * d34 + t3 * d44,
+            # P0..P3, Gs: D
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d00, d01, d02, d03, d04,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d10, d11, d12, d13, d14,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d20, d21, d22, d23, d24,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d30, d31, d32, d33, d34,
+            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d40, d41, d42, d43, d44]
 
 
 def oplus(g: GroupParams) -> np.ndarray:
@@ -250,13 +303,7 @@ def oplus(g: GroupParams) -> np.ndarray:
     entry(Gam^m, P_b) = alpha eta^{mb} and entry(Gam^m, Gs) = a^m, its J and
     K rows the orbital couplings into the P columns.
     """
-    import numpy as np
-    d5 = xl_matrix(g.xl)
-    out = np.zeros((15, 15))
-    out[:10, :10] = _xl_adjoint10(d5)
-    out[:10, 10:] = (_translation(g) @ _tables().f_trans).reshape(10, 5) @ d5
-    out[10:, 10:] = d5
-    return out
+    return _array15(_oplus_entries(g))
 
 
 def oplus_pure_factor_vector(g: GroupParams) -> list[np.ndarray]:
@@ -304,11 +351,40 @@ def theta_numeric(g: GroupParams) -> np.ndarray:
     return np.array(_theta_numeric(g))
 
 
+# theta_closed's entries free of g, row by row: NaN on the unclaimed 10x10
+# block, the identity on the (a, alpha) block, 0 elsewhere
+_THETA_FIXED = tuple(([math.nan] * 10 + [0.0] * 5) * 10
+                     + [float(c == r + 10) for r in range(5) for c in range(15)])
+
+
 def theta_claimed_mask() -> np.ndarray:
     """True where theta_closed makes a claim (everything outside the 10x10
     extended-Lorentz block, whose entries have no closed form here)."""
     import numpy as np
-    return ~np.isnan(_tables().theta_fixed)
+    return ~np.isnan(_array15(_THETA_FIXED))
+
+
+def _theta_closed_entries(g: GroupParams) -> list:
+    """The 225 entries of theta_closed(g), row by row, as Python floats."""
+    a0, a1, a2, a3 = g._a
+    al = g.alpha
+    t = list(_THETA_FIXED)
+    # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
+    t[11:14] = (0.0, a3, -a2)
+    t[26:29] = (-a3, 0.0, a1)
+    t[41:44] = (a2, -a1, 0.0)
+    # u^j row: a^j in the a^0 col, a^0 in the a^j col
+    t[55:59] = (a1, a0, 0.0, 0.0)
+    t[70:74] = (a2, 0.0, a0, 0.0)
+    t[85:89] = (a3, 0.0, 0.0, a0)
+    # omega_b row: alpha eta^{mb} in the a^m cols, a^b in the alpha col; the
+    # zeros of alpha eta carry the sign of alpha
+    z = al * 0.0
+    t[100:105] = (-al, z, z, z, a0)
+    t[115:120] = (z, al, z, z, a1)
+    t[130:135] = (z, z, al, z, a2)
+    t[145:150] = (z, z, z, al, a3)
+    return t
 
 
 def theta_closed(g: GroupParams) -> np.ndarray:
@@ -318,14 +394,4 @@ def theta_closed(g: GroupParams) -> np.ndarray:
     rows of every column.  Entries without a listed formula are exact zeros
     of the composition rule and are claimed as 0.
     """
-    import numpy as np
-    tables = _tables()
-    a = np.array(g._a)
-    t = tables.theta_fixed.copy()
-    t[6:10, 14] = a                                   # omega_m row, alpha col: a^m
-    t[6:10, 10:14] = g.alpha * tables.eta             # omega_b row, a^m col: alpha eta^{mb}
-    t[3:6, 10] = a[1:]                                # u^j row, a^0 col: a^j
-    t[3, 11] = t[4, 12] = t[5, 13] = a[0]             # u^j row, a^j col: a^0
-    # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
-    t[0:3, 11:14] = tables.eps3 @ a[1:]
-    return t
+    return _array15(_theta_closed_entries(g))

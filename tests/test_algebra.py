@@ -247,12 +247,20 @@ def _matrix_text(m):
     return canonical_json({"matrix": rows}) + "\n"
 
 
+def _csv_text(m):
+    """The labelled CSV of a matrix with finite entries; + 0.0 turns -0.0 into 0."""
+    lines = ["," + ",".join(GENERATOR_NAMES)]
+    for name, row in zip(GENERATOR_NAMES, m.tolist()):
+        lines.append(name + "," + ",".join(format(x + 0.0, ".17g") for x in row))
+    return "\n".join(lines) + "\n"
+
+
 def test_element_commands_do_not_load_numpy(tmp_path):
-    # compose, invert, decompose and theta (--numeric by default) run on the
-    # float core, and dump-algebra and the jacobi and casimir suites of check
-    # on the integer layer; oplus, theta --closed and the sampled suites of
-    # check import numpy inside the command.  The numpy-free commands run
-    # first, and every command prints the library's in-process bytes
+    # compose, invert, oplus, theta and decompose run on the float core, and
+    # dump-algebra and the jacobi and casimir suites of check on the integer
+    # layer; only the sampled suites of check import numpy, inside the
+    # command.  The numpy-free commands run first, and every command prints
+    # the library's in-process bytes
     g2 = GroupParams(0.5, [1.0, -2.0, 0.3, 4.0],
                      XLParams([0.3, 0.1, -0.4, 0.2], [0.4, -0.3, 0.2], [0.5, 0.6, -0.7]))
     g1 = GroupParams(-1.5, [0.2, 0.7, -0.1, 1.0],
@@ -280,6 +288,10 @@ def test_element_commands_do_not_load_numpy(tmp_path):
         (["decompose", "--matrix", files["m"]], 0, doc(GroupParams(xl=xl_decompose(m))), False),
         (["decompose", "--matrix", files["outside"]], 3, "", False),
         (["theta", files["g2"]], 0, _matrix_text(theta_numeric(g2)), False),
+        (["theta", files["g2"], "--closed"], 0, _matrix_text(theta_closed(g2)), False),
+        (["oplus", files["g1"]], 0, _matrix_text(oplus(g1)), False),
+        (["oplus", files["g1"], "--csv", "--labels"], 0, _csv_text(oplus(g1)), False),
+        (["oplus", files["big"]], 2, "", False),
         (["check", "--suite", "jacobi", "--trials", "10", "--seed", "3"], 0,
          report("jacobi", 10, 3), False),
         (["check", "--suite", "casimir"], 0, report("casimir", 200, 0), False),
@@ -288,11 +300,8 @@ def test_element_commands_do_not_load_numpy(tmp_path):
         (["dump-algebra", "--format", "csv", "--full"], 0, table_to_csv(True), False),
         (["dump-algebra", "--format", "json"], 0,
          canonical_json(table_to_json_obj()) + "\n", False),
-        (["oplus", files["g1"]], 0, _matrix_text(oplus(g1)), True),
-        (["theta", files["g2"], "--closed"], 0, _matrix_text(theta_closed(g2)), True),
         (["check", "--suite", "theta", "--trials", "10", "--seed", "3"], 0,
          report("theta", 10, 3), True),
-        (["oplus", files["big"]], 2, "", True),
     ]
     src = os.path.dirname(os.path.dirname(xpoincare.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

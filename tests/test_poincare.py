@@ -294,6 +294,43 @@ def test_theta_claimed_mask_shape():
     assert not m[:10, :10].any()
     assert m[:, 10:].all() and m[10:, :].all()
     assert np.isnan(theta_closed(GroupParams.identity())[:10, :10]).all()
+    assert m.sum() == 125
+
+
+def test_matrix_edges_return_fresh_arrays():
+    # each call of oplus and theta_closed makes its own writable float64 array
+    g = sample(np.random.default_rng(33))
+    for fn in (oplus, theta_closed):
+        m1, m2 = fn(g), fn(g)
+        for m in (m1, m2):
+            assert m.shape == (15, 15) and m.dtype == np.float64
+            assert m.flags.c_contiguous and m.flags.writeable
+        assert not np.shares_memory(m1, m2)
+        m1[:] = 0.0
+        assert np.array_equal(m2, fn(g), equal_nan=True)
+
+
+def test_theta_closed_matches_array_formulas():
+    # the claimed entries as array expressions in eta and eps, NaN included;
+    # the zeros of alpha eta keep the sign of alpha
+    eps3 = np.array([[[(i - j) * (j - k) * (k - i) / 2 for k in range(3)]
+                      for j in range(3)] for i in range(3)])
+    eta = np.diag([-1.0, 1.0, 1.0, 1.0])
+    rng = np.random.default_rng(34)
+    for _ in range(200):
+        g = sample_params(rng, wide=True)
+        a = g.a
+        ref = np.full((15, 15), np.nan)
+        ref[:, 10:] = ref[10:, :10] = 0.0
+        ref[10:, 10:] = np.eye(5)
+        ref[6:10, 14] = a
+        ref[6:10, 10:14] = g.alpha * eta
+        ref[3:6, 10] = a[1:]
+        ref[3, 11] = ref[4, 12] = ref[5, 13] = a[0]
+        ref[0:3, 11:14] = eps3 @ a[1:]
+        got = theta_closed(g)
+        assert np.array_equal(got, ref, equal_nan=True)
+        assert np.array_equal(np.signbit(got[6:10, 10:]), np.signbit(ref[6:10, 10:]))
 
 
 @pytest.mark.parametrize("kwargs", [

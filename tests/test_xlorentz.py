@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpoincare.algebra import ETA, exp_ad
+from xpoincare.algebra import _F_FLOAT, ETA, exp_ad
 from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
                                metric_residual, trig_h, trig_s)
-from xpoincare.poincare import (GroupParams, _matmul5, _tables, _xl_adjoint10, compose,
-                                inverse)
+from xpoincare.poincare import GroupParams, _matmul5, compose, inverse, oplus
 from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, _dirac_strip,
                                 _omega_from_gs_column, _xl_entries, b_residual,
                                 xl_decompose, xl_matrix)
@@ -585,10 +584,11 @@ def test_axis_angle_cut_both_sides(cut):
 
 
 # --- closed forms against the products they replace --------------------------
-# xl_matrix, inverse and the 10x10 block of oplus are closed forms; the small-
-# matrix products they replace stay here as their oracles.  Scale of an
-# element: max(1, |D|^2 max(1, |t|)), t = (a, alpha).  Worst seen over the
-# draws below: 1.5 eps for the adjoint; for inverse 5.0 eps on the sampled
+# xl_matrix, inverse and oplus are closed forms; the small-matrix products
+# they replace stay here as their oracles.  Scale of an element:
+# max(1, |D|^2 max(1, |t|)), t = (a, alpha).  Worst seen over the draws
+# below: 1.5 eps for the adjoint, 1.3 eps for the translation block of
+# oplus; for inverse 5.0 eps on the sampled
 # draws and 11.5 eps on the pinned ones.  There the rebuild of D from the
 # inverted parameters dominates: an inverse that takes D^-1 = B D^T B from
 # one matrix build reads the same 11.5 eps.  k = 32.
@@ -623,17 +623,58 @@ def _element_scale(d, t=0.0):
     return EPS * max(1.0, np.abs(d).max() ** 2 * max(1.0, np.abs(t).max()))
 
 
+# G_A, the images of the ten extended-Lorentz generators on the (P, Gs) block
+_G5 = _F_FLOAT[:10, 10:, 10:]
+
+
 def test_adjoint10_matches_basis_expansion():
     # oracle: 0.5 <G_C, D^-1 G_A D> over the generator basis; t does not enter
-    g5 = _tables().g5
-    g5_dual = 0.5 * g5.reshape(10, 25)
+    g5_dual = 0.5 * _G5.reshape(10, 25)
     worst = 0.0
     for g in _closed_form_draws():
         d = xl_matrix(g.xl)
-        ref = (BFORM @ d.T @ BFORM @ g5 @ d).reshape(10, 25) @ g5_dual.T
-        err = np.abs(_xl_adjoint10(d) - ref).max()
+        ref = (BFORM @ d.T @ BFORM @ _G5 @ d).reshape(10, 25) @ g5_dual.T
+        err = np.abs(oplus(g)[:10, :10] - ref).max()
         worst = max(worst, err / _element_scale(d))
     assert worst <= CLOSED_FORM_K, worst
+
+
+def test_oplus_translation_block_matches_matrix_product():
+    # oracle: (sum_b t_b F_b)[:10, (P, Gs)] D, F_b the adjoint matrices of
+    # P0..P3, Gs, as one matrix product; the float core reads two terms a row
+    f_trans = _F_FLOAT[10:, :10, 10:].reshape(5, 50)
+    worst = 0.0
+    for g in _closed_form_draws():
+        d, t = xl_matrix(g.xl), np.array([*g.a, g.alpha])
+        ref = (t @ f_trans).reshape(10, 5) @ d
+        worst = max(worst, np.abs(oplus(g)[:10, 10:] - ref).max() / _element_scale(d, t))
+    assert worst <= CLOSED_FORM_K, worst
+
+
+def _minor_tables():
+    """Indices into outer(D, D).ravel() of the two products of each signed
+    2x2 minor of the 10x10 block, the sign folded in by their order."""
+    support = []
+    for G in _G5:
+        i, j = (int(x) for x in np.argwhere(G)[0])
+        support.append((i, j, G[i, j] * BFORM[i, i]))
+    plus, minus = np.empty((2, 10, 10), dtype=np.intp)
+    for A, (i, j, sa) in enumerate(support):
+        for C, (k, l, sc) in enumerate(support):
+            pair = ((5 * i + k) * 25 + 5 * j + l, (5 * i + l) * 25 + 5 * j + k)
+            plus[A, C], minus[A, C] = pair if sa * sc > 0 else pair[::-1]
+    return plus, minus
+
+
+def test_oplus_matches_minor_tables_bit_for_bit():
+    # the written-out minors and the (P, Gs) block against an independent
+    # route to the same products: table lookups into outer(D, D)
+    plus, minus = _minor_tables()
+    for g in _closed_form_draws():
+        d, o = xl_matrix(g.xl), oplus(g)
+        outer = np.outer(d, d).ravel()
+        assert o[:10, :10].tobytes() == (outer[plus] - outer[minus]).tobytes()
+        assert o[10:, 10:].tobytes() == d.tobytes() and not o[10:, :10].any()
 
 
 def test_inverse_matches_matrix_route():
@@ -663,6 +704,28 @@ def _mp_err(mp, got, ref):
     got = np.asarray(got, dtype=float).reshape(ref.rows, ref.cols)
     return max(abs(mp.mpf(float(got[j, k])) - ref[j, k])
                for j in range(ref.rows) for k in range(ref.cols))
+
+
+@pytest.mark.parametrize("r", [10.0, 20.0])
+def test_oplus_adjoint_error_is_eps_d_squared(r):
+    # the 10x10 block is differences of products of entries of D, so its
+    # absolute error is of order eps |D|^2, not eps |entry|: along
+    # omega = (0, r, 0, 0) the (Gam1, Gam1) entry is cosh^2 r - sinh^2 r = 1
+    # exactly and reads 24.0 at r = 20.  Oracle: 0.5 <G_C, D^-1 G_A D> at 40
+    # digits from the same float64 parameters; k = CLOSED_FORM_K
+    mp = pytest.importorskip("mpmath")
+    g = GroupParams(xl=XLParams([0.0, r, 0.0, 0.0]))
+    got = oplus(g)[:10, :10]
+    with mp.workdps(40):
+        d, _, _ = _mp_element(mp, g)
+        b = mp.diag([1, -1, -1, -1, 1])
+        gens = [mp.matrix(G.tolist()) for G in _G5]
+        conj = [b * d.T * b * G * d for G in gens]
+        err = max(abs(mp.mpf(float(got[a, c])) - sum(
+                      gens[c][i, j] * conj[a][i, j] for i in range(5) for j in range(5)) / 2)
+                  for a in range(10) for c in range(10))
+        size = max(abs(x) for x in d) ** 2
+    assert float(err / size) / EPS <= CLOSED_FORM_K
 
 
 def _mp_draws(kind):
