@@ -18,10 +18,7 @@ identity exactly (see tests), and it makes the invariant quadratic form on the
 
 The table is kept as its 100 nonzero entries (a, b, c, f) in Python ints, and
 the exact identities (antisymmetry, Jacobi, Casimir invariance) and the
-serialization run on those entries.  numpy is imported only by the array
-edges: `StructureConstants.dense`, `ETA`, `EPS3` and the float table (each
-made on first read), `commutator`, `casimir_lambda`, `casimir_mu`,
-`invariance_residual` and the exp(adjoint) oracle.
+serialization run on those entries.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from __future__ import annotations
 import itertools
 from enum import IntEnum
 
-from ._names import GENERATOR_NAMES, _Frozen
+from ._names import GENERATOR_NAMES, _Frozen, _lazy_constants, _matrix_entries, _ndarray
 
 
 class GeneratorIndex(IntEnum):
@@ -79,10 +76,10 @@ class StructureConstants(_Frozen):
     @property
     def dense(self) -> np.ndarray:
         if self._dense is None:
-            import numpy as np
-            f = np.zeros((15, 15, 15), dtype=np.int64)
+            e = [0] * 3375
             for a, b, c, v in self._rows:
-                f[a, b, c] = v
+                e[225 * a + 15 * b + c] = v
+            f = _ndarray(e, (15, 15, 15), "int64")
             f.flags.writeable = False
             object.__setattr__(self, "_dense", f)
         return self._dense
@@ -142,8 +139,7 @@ STRUCTURE_CONSTANTS = StructureConstants(_build_rows())
 
 
 # The numpy tables, each made on its first read and kept, read-only: ETA,
-# ETA_INT, EPS3 and the float copy of the table that adjoint_of and
-# poincare.oplus share.
+# ETA_INT, EPS3 and the float copy of the table that adjoint_of reads.
 _ARRAYS = {
     "ETA": lambda np: np.diag(np.array(_ETA_DIAG, dtype=float)),
     "ETA_INT": lambda np: np.diag(np.array(_ETA_DIAG, dtype=np.int64)),
@@ -152,21 +148,7 @@ _ARRAYS = {
     "_F_FLOAT": lambda np: STRUCTURE_CONSTANTS.dense.astype(float),
 }
 
-
-def _array(name: str):
-    value = globals().get(name)
-    if value is None:
-        import numpy as np
-        value = _ARRAYS[name](np)
-        value.flags.writeable = False
-        globals()[name] = value
-    return value
-
-
-def __getattr__(name):
-    if name not in _ARRAYS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return _array(name)
+__getattr__ = _lazy_constants(globals(), _ARRAYS)
 
 
 def commutator(x, y) -> np.ndarray:
@@ -232,7 +214,7 @@ def jacobi_check(table: StructureConstants | None = None) -> JacobiReport:
 def adjoint_of(x) -> np.ndarray:
     """Sum_a x_a F_a for a coefficient 15-vector x, (F_a)[r, s] = f_ar^s."""
     import numpy as np
-    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), _array("_F_FLOAT"))
+    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), __getattr__("_F_FLOAT"))
 
 
 def exp_ad(x, t: float = 1.0) -> np.ndarray:
@@ -247,30 +229,28 @@ def exp_ad(x, t: float = 1.0) -> np.ndarray:
 
 
 def _diagonal(d) -> tuple:
-    return tuple(tuple(x if i == j else 0 for j in range(15)) for i, x in enumerate(d))
+    return tuple(x if i == j else 0 for i, x in enumerate(d) for j in range(15))
 
 
-# The quadratic forms of the two Casimirs, as 15 rows of ints.
+# The quadratic forms of the two Casimirs, as 225 ints, row by row.
 _CASIMIR_LAMBDA = _diagonal((1, 1, 1, -1, -1, -1, 1, -1, -1, -1, 0, 0, 0, 0, 0))
 _CASIMIR_MU = _diagonal((0,) * 10 + (1, -1, -1, -1, 1))
 
 
 def casimir_lambda() -> np.ndarray:
     """Coefficient matrix of J.J - K.K + Gam0 Gam0 - Gam.Gam (integer 15x15)."""
-    import numpy as np
-    return np.array(_CASIMIR_LAMBDA, dtype=np.int64)
+    return _ndarray(_CASIMIR_LAMBDA, (15, 15), "int64")
 
 
 def casimir_mu() -> np.ndarray:
     """Coefficient matrix of Gs^2 - eta^{bn} P_b P_n (integer 15x15)."""
-    import numpy as np
-    return np.array(_CASIMIR_MU, dtype=np.int64)
+    return _ndarray(_CASIMIR_MU, (15, 15), "int64")
 
 
 def _invariance_residual(k, table: StructureConstants | None = None) -> list:
-    """Per-row max |F_r^T K + K F_r| as 15 ints, for K given as 15 rows of
-    ints: with (F_r)[s, t] = f_rs^t, each nonzero entry adds v K[s, :] to
-    row t and v K[:, s] to column t."""
+    """Per-row max |F_r^T K + K F_r| as 15 ints, for K given as its 225
+    ints, row by row: with (F_r)[s, t] = f_rs^t, each nonzero entry adds
+    v K[s, :] to row t and v K[:, s] to column t."""
     by_row = [[] for _ in range(15)]
     for r, s, t, v in (table or STRUCTURE_CONSTANTS).rows(both_orders=True):
         by_row[r].append((s, t, v))
@@ -278,11 +258,11 @@ def _invariance_residual(k, table: StructureConstants | None = None) -> list:
     for entries in by_row:
         m = [[0] * 15 for _ in range(15)]
         for s, t, v in entries:
-            row_t, k_s = m[t], k[s]
+            row_t, k_s = m[t], k[15 * s:15 * s + 15]
             for j in range(15):
                 row_t[j] += v * k_s[j]
             for i in range(15):
-                m[i][t] += k[i][s] * v
+                m[i][t] += k[15 * i + s] * v
         out.append(max(abs(x) for row in m for x in row))
     return out
 
@@ -292,12 +272,11 @@ def invariance_residual(kmat: np.ndarray,
     """Per-row max |F_r^T K + K F_r|, the adjoint-invariance defect of K.
 
     Exactly zero in row r iff the quadratic form K commutes with generator r.
-    Integer arithmetic throughout; K is read as an int64 array and the result
-    is an int64 array of 15.
+    Integer arithmetic throughout; K is read as a 15x15 int64 array (float
+    entries truncated) and the result is an int64 array of 15.
     """
-    import numpy as np
-    k = np.asarray(kmat, dtype=np.int64).tolist()
-    return np.array(_invariance_residual(k, table), dtype=np.int64)
+    k = _matrix_entries(kmat, (15, 15), ValueError, "int64")
+    return _ndarray(_invariance_residual(k, table), (15,), "int64")
 
 
 # ---------------------------------------------------------------------------

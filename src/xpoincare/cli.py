@@ -29,11 +29,11 @@ import math
 import numbers
 import sys
 
-from ._names import GENERATOR_NAMES, SUITE_NAMES
+from ._names import GENERATOR_NAMES, SUITE_NAMES, _float_entries
 from .lorentz import DecompositionError
 from .poincare import (GroupParams, _oplus_entries, _theta_closed_entries,
                        _theta_numeric, compose, element_doc, inverse)
-from .xlorentz import XLParams, _float_entries, _xl_decompose
+from .xlorentz import XLParams, _xl_decompose
 
 PARSE_ERROR, UNREACHABLE, PROPERTY_FAILURE = 2, 3, 4
 
@@ -187,8 +187,8 @@ def cmd_oplus(args) -> int:
 
 def cmd_theta(args) -> int:
     g = load_element(args.element)
-    m = _rows(_theta_closed_entries(g)) if args.closed else _theta_numeric(g)
-    _matrix_out(m, args.labels, args.csv)
+    e = _theta_closed_entries(g) if args.closed else _theta_numeric(g)
+    _matrix_out(_rows(e), args.labels, args.csv)
     return 0
 
 
@@ -196,6 +196,9 @@ def cmd_decompose(args) -> int:
     obj = _load_json(args.matrix)
     if not isinstance(obj, dict) or "matrix" not in obj:
         raise ParseError("matrix document must be an object with a 'matrix' field")
+    unknown = set(obj) - {"matrix"}
+    if unknown:
+        raise ParseError(f"unknown matrix document fields: {sorted(unknown)}")
     m = obj["matrix"]
     if not (isinstance(m, list) and all(map(_is_number_list, m))):
         raise ParseError("field 'matrix' must be a list of lists of numbers")

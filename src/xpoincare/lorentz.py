@@ -11,15 +11,13 @@ Generator conventions (normative, they fix every sign downstream):
 
 so R(theta) = exp(theta . J) and L(u) = exp(beta . K).  Consequently
 L(u) e0 = (u0, -u) and R((0,0,pi/2)) has R^1_2 = +1, R^2_1 = -1.
-
-Everything here runs on Python floats; numpy is imported only by the array
-edges (`rapidity`, `lorentz_matrix`, `metric_residual`, `lorentz_decompose`),
-each a thin wrapper of its float implementation.
 """
 
 from __future__ import annotations
 
 import math
+
+from ._names import _float_entries, _matrix_entries, _ndarray
 
 
 class DecompositionError(ValueError):
@@ -94,10 +92,10 @@ def _lorentz_entries(u, theta) -> list:
 
 def lorentz_matrix(u, theta) -> np.ndarray:
     """General transformation Lambda = L(u) R(theta), boost times rotation;
-    u = 0 gives the rotation R(theta) and theta = 0 the boost L(u) exactly."""
-    import numpy as np
-    u, theta = np.asarray(u, dtype=float).tolist(), np.asarray(theta, dtype=float).tolist()
-    return np.array(_lorentz_entries(u, theta)).reshape(4, 4)
+    u = 0 gives the rotation R(theta) and theta = 0 the boost L(u) exactly.
+    A u or theta that is not a finite 3-vector is a ValueError naming it."""
+    u, theta = _float_entries("u", u, (3,)), _float_entries("theta", theta, (3,))
+    return _ndarray(_lorentz_entries(u, theta), (4, 4))
 
 
 def _max_abs(xs) -> float:
@@ -110,11 +108,11 @@ def _max_abs(xs) -> float:
 
 
 def _metric_residual(m) -> float:
-    """max |M^T eta M - eta| of the 4x4 matrix with rows m.  eta is
-    diagonal, so entry (i, j) is the eta-signed dot product of columns i and
-    j (named a, b, c, e, indexed by row); the result is symmetric, and only
-    j >= i is formed."""
-    (a0, b0, c0, e0), (a1, b1, c1, e1), (a2, b2, c2, e2), (a3, b3, c3, e3) = m
+    """max |M^T eta M - eta| of the 4x4 matrix with entries m, row by row.
+    eta is diagonal, so entry (i, j) is the eta-signed dot product of columns
+    i and j (named a, b, c, e, indexed by row); the result is symmetric, and
+    only j >= i is formed."""
+    a0, b0, c0, e0, a1, b1, c1, e1, a2, b2, c2, e2, a3, b3, c3, e3 = m
     return _max_abs((a1 * a1 + a2 * a2 + a3 * a3 - a0 * a0 + 1.0,
                      a1 * b1 + a2 * b2 + a3 * b3 - a0 * b0,
                      a1 * c1 + a2 * c2 + a3 * c3 - a0 * c0,
@@ -129,11 +127,7 @@ def _metric_residual(m) -> float:
 
 def metric_residual(M) -> float:
     """max |M^T eta M - eta| of a 4x4 matrix."""
-    import numpy as np
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got {M.shape}")
-    return _metric_residual(M.tolist())
+    return _metric_residual(_matrix_entries(M, (4, 4)))
 
 
 # --- parameter recovery -----------------------------------------------------
@@ -141,8 +135,8 @@ def metric_residual(M) -> float:
 METRIC_TOL = 1e-8
 
 
-def _axis_angle(rows):
-    """Axis-angle vector of a 3x3 rotation, given as nested-list rows, in the
+def _axis_angle(r):
+    """Axis-angle vector of a 3x3 rotation with entries r, row by row, in the
     exp(theta . J) convention, as a list of Python floats.
 
     Canonical output: |theta| in [0, pi]; at |theta| = pi the axis sign is
@@ -152,7 +146,7 @@ def _axis_angle(rows):
     from the angle.  The one special case is the rotation near pi, where w
     is small and rounded: there the axis comes from the symmetric part.
     """
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
     # w = sin(phi) * axis in this convention
     wx, wy, wz = 0.5 * (r12 - r21), 0.5 * (r20 - r02), 0.5 * (r01 - r10)
     c = (r00 + r11 + r22 - 1.0) / 2.0
@@ -167,7 +161,7 @@ def _axis_angle(rows):
     # whose largest diagonal entry picks the best-conditioned column
     diag = ((r00 - c) / (1.0 - c), (r11 - c) / (1.0 - c), (r22 - c) / (1.0 - c))
     i = max(range(3), key=diag.__getitem__)
-    col = [diag[k] if k == i else (rows[k][i] + rows[i][k]) / 2.0 / (1.0 - c)
+    col = [diag[k] if k == i else (r[3 * k + i] + r[3 * i + k]) / 2.0 / (1.0 - c)
            for k in range(3)]
     n = math.sqrt(col[0] * col[0] + col[1] * col[1] + col[2] * col[2])
     ax = [x / n for x in col]
@@ -181,9 +175,10 @@ def _axis_angle(rows):
 
 
 def _det4(m) -> float:
-    """Determinant of a 4x4 nested list, by 2x2 minors of rows (0, 1) and (2, 3)."""
-    (a00, a01, a02, a03), (a10, a11, a12, a13), (a20, a21, a22, a23), \
-        (a30, a31, a32, a33) = m
+    """Determinant of the 4x4 matrix with entries m, row by row, by 2x2
+    minors of rows (0, 1) and (2, 3)."""
+    a00, a01, a02, a03, a10, a11, a12, a13, a20, a21, a22, a23, \
+        a30, a31, a32, a33 = m
     s0, s1, s2 = a00 * a11 - a10 * a01, a00 * a12 - a10 * a02, a00 * a13 - a10 * a03
     s3, s4, s5 = a01 * a12 - a11 * a02, a01 * a13 - a11 * a03, a02 * a13 - a12 * a03
     c5, c4, c3 = a22 * a33 - a32 * a23, a21 * a33 - a31 * a23, a21 * a32 - a31 * a22
@@ -192,12 +187,13 @@ def _det4(m) -> float:
 
 
 def _boost_strip(m) -> list:
-    """Rows of R = L(-u) M, u = -M[1:, 0], from the rows of M, as a rank-one
-    update: with y = u^T M[1:, :] and k = 1 / (1 + u0),
+    """The 16 entries of R = L(-u) M, u = -M[1:, 0], row by row, from the
+    entries m of M, as a rank-one update: with y = u^T M[1:, :] and
+    k = 1 / (1 + u0),
     R[0, j] = u0 M[0, j] + y_j and R[i, j] = M[i, j] + u_i (M[0, j] + k y_j).
     Equal to lorentz_matrix(M[1:, 0], zeros(3)) @ M up to rounding."""
-    (m00, m01, m02, m03), (m10, m11, m12, m13), (m20, m21, m22, m23), \
-        (m30, m31, m32, m33) = m
+    m00, m01, m02, m03, m10, m11, m12, m13, m20, m21, m22, m23, \
+        m30, m31, m32, m33 = m
     a, b, c = -m10, -m20, -m30
     u0 = math.sqrt(1.0 + (a * a + b * b + c * c))
     k = 1.0 / (1.0 + u0)
@@ -206,10 +202,10 @@ def _boost_strip(m) -> list:
     y2 = a * m12 + b * m22 + c * m32
     y3 = a * m13 + b * m23 + c * m33
     t0, t1, t2, t3 = m00 + k * y0, m01 + k * y1, m02 + k * y2, m03 + k * y3
-    return [[u0 * m00 + y0, u0 * m01 + y1, u0 * m02 + y2, u0 * m03 + y3],
-            [m10 + a * t0, m11 + a * t1, m12 + a * t2, m13 + a * t3],
-            [m20 + b * t0, m21 + b * t1, m22 + b * t2, m23 + b * t3],
-            [m30 + c * t0, m31 + c * t1, m32 + c * t2, m33 + c * t3]]
+    return [u0 * m00 + y0, u0 * m01 + y1, u0 * m02 + y2, u0 * m03 + y3,
+            m10 + a * t0, m11 + a * t1, m12 + a * t2, m13 + a * t3,
+            m20 + b * t0, m21 + b * t1, m22 + b * t2, m23 + b * t3,
+            m30 + c * t0, m31 + c * t1, m32 + c * t2, m33 + c * t3]
 
 
 def lorentz_decompose(M):
@@ -220,23 +216,19 @@ def lorentz_decompose(M):
     gate leaves |M^0_0| >= 1 - 5e-9 and ||det| - 1| near 2e-8 at most, so
     only the two signs are left to test.
     """
-    import numpy as np
-    M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4):
-        raise DecompositionError(f"expected a 4x4 matrix, got {M.shape}")
-    u, theta = _lorentz_params(M.tolist())
-    return np.array(u), np.array(theta)
+    u, theta = _lorentz_params(_matrix_entries(M, (4, 4), DecompositionError))
+    return _ndarray(u, (3,)), _ndarray(theta, (3,))
 
 
 def _lorentz_params(m) -> tuple[list, list]:
-    """lorentz_decompose of the 4x4 matrix with rows m: u and theta as lists
-    of Python floats."""
+    """lorentz_decompose of the 4x4 matrix with entries m, row by row: u and
+    theta as lists of Python floats."""
     res = _metric_residual(m)
     if not res < METRIC_TOL:  # `not ... <`: NaN fails every gate
         raise DecompositionError(
             f"metric residual {res:.3e} exceeds {METRIC_TOL:.1e}: not a Lorentz matrix")
-    if not m[0][0] > 0.0:
-        raise DecompositionError(f"M^0_0 = {m[0][0]:.17g} <= 0: not orthochronous")
+    if not m[0] > 0.0:
+        raise DecompositionError(f"M^0_0 = {m[0]:.17g} <= 0: not orthochronous")
     # R = L(-u) M has |R| ~ 1, so its cofactor determinant (= det M) rounds
     # like an LU of M; the cofactor of M itself would lose |M|^3 eps
     r = _boost_strip(m)
@@ -245,10 +237,10 @@ def _lorentz_params(m) -> tuple[list, list]:
     if not det > 0.0:
         raise DecompositionError(f"det = {det:.17g} <= 0: improper")
     # 1e-7: the passed metric gate bounds this coupling near 1e-8; a backstop
-    off = max(abs(r[0][1]), abs(r[0][2]), abs(r[0][3]), abs(r[1][0]),
-              abs(r[2][0]), abs(r[3][0]), abs(r[0][0] - 1.0))
+    off = max(abs(r[1]), abs(r[2]), abs(r[3]), abs(r[4]),
+              abs(r[8]), abs(r[12]), abs(r[0] - 1.0))
     if not off <= 1e-7:
         raise DecompositionError(
             f"boost stripping left time-space coupling {off:.3e}")
-    theta = _axis_angle([r[1][1:], r[2][1:], r[3][1:]])
-    return [-m[1][0], -m[2][0], -m[3][0]], theta
+    theta = _axis_angle(r[5:8] + r[9:12] + r[13:16])
+    return [-m[4], -m[8], -m[12]], theta

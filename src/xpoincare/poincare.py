@@ -24,21 +24,16 @@ the textbook affine rule (T2, t2)(T1, t1) = (T2 T1, t2 + T2 t1).  `compose`
 evaluates that rule in closed form and `compose_via_affine` as matrix
 products; both factor the same product D2 D1, so they agree to rounding and
 the second is a check of the first's bookkeeping, not an independent formula.
-
-The group law runs on Python floats: `compose`, `inverse`, `oplus`,
-`theta_numeric` and `theta_closed` each have a float core, and numpy is
-imported only by the functions that take or return arrays, each a thin edge
-of its core.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._names import _Frozen
+from ._names import _array_field, _float_entries, _Frozen, _ndarray
 from .lorentz import _lorentz_entries, rapidity
-from .xlorentz import (XLParams, _array_field, _dirac_coefficients, _float_entries,
-                       _xl_decompose, _xl_entries, xl_decompose, xl_matrix)
+from .xlorentz import (XLParams, _dirac_coefficients, _xl_decompose, _xl_entries,
+                       xl_decompose, xl_matrix)
 
 
 class GroupParams(_Frozen):
@@ -95,8 +90,7 @@ def _from_vector(v) -> GroupParams:
 
 def params_to_vector(g: GroupParams) -> np.ndarray:
     """15-vector (theta, u, omega, a, alpha) in generator-conjugate order."""
-    import numpy as np
-    return np.array(_vector(g))
+    return _ndarray(_vector(g), (15,))
 
 
 def vector_to_params(v) -> GroupParams:
@@ -109,8 +103,7 @@ def vector_to_params(v) -> GroupParams:
 
 def _translation(g: GroupParams) -> np.ndarray:
     """Translation 5-vector t = (a^0..a^3, alpha)."""
-    import numpy as np
-    return np.array(g._a + (g.alpha,))
+    return _ndarray(g._a + (g.alpha,), (5,))
 
 
 # --- group operations --------------------------------------------------------
@@ -189,16 +182,6 @@ def inverse(g: GroupParams) -> GroupParams:
 
 
 # --- fundamental representation ----------------------------------------------
-
-def _array15(e) -> np.ndarray:
-    """A fresh, writable 15x15 float64 array of the 225 entries e, row by
-    row.  Packed to bytes and copied once: faster than np.array or
-    np.fromiter of the list, which convert entry by entry, and the array
-    owns its memory, as theirs do."""
-    import struct
-    import numpy as np
-    return np.frombuffer(struct.pack("225d", *e)).copy().reshape(15, 15)
-
 
 def _oplus_entries(g: GroupParams) -> list:
     """The 225 entries of oplus(g), row by row, as Python floats, from one
@@ -303,7 +286,7 @@ def oplus(g: GroupParams) -> np.ndarray:
     entry(Gam^m, P_b) = alpha eta^{mb} and entry(Gam^m, Gs) = a^m, its J and
     K rows the orbital couplings into the P columns.
     """
-    return _array15(_oplus_entries(g))
+    return _ndarray(_oplus_entries(g), (15, 15))
 
 
 def oplus_pure_factor_vector(g: GroupParams) -> list[np.ndarray]:
@@ -329,15 +312,15 @@ THETA_STEP = 1e-5  # central-difference step of theta_numeric
 
 
 def _theta_numeric(g: GroupParams) -> list:
-    """The rows of theta_numeric(g) as lists of Python floats."""
-    rows = []
+    """The 225 entries of theta_numeric(g), row by row, as Python floats."""
+    e = []
     for r in range(15):
         dv = [0.0] * 15
         dv[r] = THETA_STEP
         plus = _vector(compose(_from_vector(dv), g))
         minus = _vector(compose(_from_vector([-x for x in dv]), g))
-        rows.append([(p - m) / (2.0 * THETA_STEP) for p, m in zip(plus, minus)])
-    return rows
+        e += [(p - m) / (2.0 * THETA_STEP) for p, m in zip(plus, minus)]
+    return e
 
 
 def theta_numeric(g: GroupParams) -> np.ndarray:
@@ -347,8 +330,7 @@ def theta_numeric(g: GroupParams) -> np.ndarray:
     primed parameter r at the identity, for the primed element on the left.
     Requires compose to succeed near the identity in the primed slot.
     """
-    import numpy as np
-    return np.array(_theta_numeric(g))
+    return _ndarray(_theta_numeric(g), (15, 15))
 
 
 # theta_closed's entries free of g, row by row: NaN on the unclaimed 10x10
@@ -360,8 +342,7 @@ _THETA_FIXED = tuple(([math.nan] * 10 + [0.0] * 5) * 10
 def theta_claimed_mask() -> np.ndarray:
     """True where theta_closed makes a claim (everything outside the 10x10
     extended-Lorentz block, whose entries have no closed form here)."""
-    import numpy as np
-    return ~np.isnan(_array15(_THETA_FIXED))
+    return _ndarray([x == x for x in _THETA_FIXED], (15, 15), "bool")
 
 
 def _theta_closed_entries(g: GroupParams) -> list:
@@ -394,4 +375,4 @@ def theta_closed(g: GroupParams) -> np.ndarray:
     rows of every column.  Entries without a listed formula are exact zeros
     of the composition rule and are claimed as 0.
     """
-    return _array15(_theta_closed_entries(g))
+    return _ndarray(_theta_closed_entries(g), (15, 15))

@@ -20,33 +20,21 @@ Geometry note for decomposition: W(omega) L R maps e_Gs to the Gs-column
 (-s(q) omega, c(q)); matrices whose (Gs, Gs) entry is below -1 lie outside
 the image of this factorization (the group is larger than one chart) and are
 rejected, not approximated.
-
-The group law here runs on Python floats, and a parameter object keeps its
-values as float tuples; numpy is imported only by the array edges
-(`xl_matrix`, `b_residual`, `xl_decompose`, the array fields of `XLParams`
-and `BFORM`), each a thin wrapper of its float implementation.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._names import _Frozen
+from ._names import (_array_field, _float_entries, _Frozen, _lazy_constants,
+                     _matrix_entries, _ndarray)
 from .lorentz import (DecompositionError, _lorentz_entries, _lorentz_params,
                       _max_abs, trig_h, trig_s)
 
 _BDIAG = (1.0, -1.0, -1.0, -1.0, 1.0)  # the diagonal of B
 
-
-def __getattr__(name):
-    # BFORM is made on first read, so that importing the group law loads no numpy
-    if name != "BFORM":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import numpy as np
-    b = np.diag(_BDIAG)
-    b.flags.writeable = False
-    globals()["BFORM"] = b
-    return b
+# BFORM, the matrix of B, is made on first read
+__getattr__ = _lazy_constants(globals(), {"BFORM": lambda np: np.diag(_BDIAG)})
 
 
 B_TOL = 1e-8        # B-form residual gate of xl_decompose
@@ -88,57 +76,6 @@ def _xl_entries(omega, lam) -> list:
 
 # --- parameter objects -------------------------------------------------------
 
-_NUMBERS = frozenset((float, int))
-
-
-def _float_entries(name: str, value, shape: tuple) -> tuple:
-    """The entries of a parameter array as a flat tuple of floats, row by
-    row, checked for `shape` and finiteness; every rejection is a ValueError
-    naming the field `name`.  A list or tuple of ints and floats, or of
-    equal-length lists or tuples of them, is read in Python; any other value
-    (an ndarray, a scalar, a string, deeper nesting) goes through numpy's
-    conversion first, which applies the same rules."""
-    got = None
-    if type(value) in (list, tuple):
-        if _NUMBERS.issuperset(map(type, value)):
-            got = (len(value),)
-        elif value and all(type(r) in (list, tuple) and _NUMBERS.issuperset(map(type, r))
-                           for r in value):
-            if len(set(map(len, value))) > 1:  # ragged
-                raise ValueError(f"{name} must be a float array of shape {shape}")
-            got, value = (len(value), len(value[0])), [x for r in value for x in r]
-    try:
-        if got is None:
-            import numpy as np
-            value = np.array(value, dtype=float)
-            got, value = value.shape, value.ravel().tolist()
-        v = tuple(map(float, value))
-    except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{name} must be finite") from None
-    except (TypeError, ValueError):  # ragged nesting, a string, a dict
-        raise ValueError(f"{name} must be a float array of shape {shape}") from None
-    if got != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {got}")
-    if not all(map(math.isfinite, v)):
-        raise ValueError(f"{name} must be finite")
-    return v
-
-
-def _array_field(name: str):
-    """Public field `name`: the float tuple in slot `_name` as a read-only
-    ndarray, made on each read.  Not kept: an element whose fields are read
-    would otherwise hold its values twice."""
-    core = "_" + name
-
-    def read(self):
-        import numpy as np
-        a = np.array(getattr(self, core))
-        a.flags.writeable = False
-        return a
-
-    return property(read, doc=f"{name} as a read-only float ndarray")
-
-
 class XLParams(_Frozen):
     """Extended-Lorentz parameters (omega, u, theta) of W(omega) L(u) R(theta).
 
@@ -170,8 +107,7 @@ class XLParams(_Frozen):
 def xl_matrix(p: XLParams) -> np.ndarray:
     """5x5 matrix W(omega) L(u) R(theta), in closed form; u = theta = 0 gives
     the Dirac boost W(omega)."""
-    import numpy as np
-    return np.array(_xl_entries(p._omega, _lorentz_entries(p._u, p._theta))).reshape(5, 5)
+    return _ndarray(_xl_entries(p._omega, _lorentz_entries(p._u, p._theta)), (5, 5))
 
 
 def _b_residual(d) -> float:
@@ -200,11 +136,7 @@ def _b_residual(d) -> float:
 
 def b_residual(M) -> float:
     """max |M^T B M - B| of a 5x5 matrix."""
-    import numpy as np
-    M = np.asarray(M, dtype=float)
-    if M.shape != (5, 5):
-        raise ValueError(f"expected a 5x5 matrix, got {M.shape}")
-    return _b_residual(M.ravel().tolist())
+    return _b_residual(_matrix_entries(M, (5, 5)))
 
 
 def _omega_from_gs_column(v0, v1, v2, v3, c) -> list:
@@ -275,7 +207,7 @@ def _xl_decompose(d) -> XLParams:
         raise DecompositionError(
             f"residual {off:.3e} after Dirac-boost stripping "
             f"(branch '{branch}'): matrix outside the reachable set")
-    u, theta = _lorentz_params([e[0:4], e[5:9], e[10:14], e[15:19]])
+    u, theta = _lorentz_params(e[0:4] + e[5:9] + e[10:14] + e[15:19])
     return XLParams(omega, u, theta)
 
 
@@ -287,8 +219,4 @@ def xl_decompose(M) -> XLParams:
     M[Gs, Gs] < -1) fail the block-diagonality gate after the Dirac boost is
     stripped and are rejected with a diagnostic.
     """
-    import numpy as np
-    M = np.asarray(M, dtype=float)
-    if M.shape != (5, 5):
-        raise DecompositionError(f"expected a 5x5 matrix, got {M.shape}")
-    return _xl_decompose(M.ravel().tolist())
+    return _xl_decompose(_matrix_entries(M, (5, 5), DecompositionError))

@@ -158,6 +158,17 @@ def test_invariance_residual_of_a_full_matrix():
     assert invariance_residual(k).tolist() == _invariance_oracle(STRUCTURE_CONSTANTS.dense, k)
 
 
+def test_invariance_residual_rejects_a_wrong_shape():
+    with pytest.raises(ValueError, match=r"expected a 15x15 matrix, got \(3, 3\)"):
+        invariance_residual(np.eye(3, dtype=int))
+
+
+def test_invariance_residual_beyond_int64_overflows():
+    # residuals are exact Python ints; one beyond int64 is numpy's OverflowError
+    with pytest.raises(OverflowError, match="too large to convert"):
+        invariance_residual(np.full((15, 15), 2**62, dtype=np.int64))
+
+
 def test_tables_keep_their_arrays():
     # the numpy tables are made on first read with the values, dtypes and
     # read-only flags they had as module constants
@@ -167,9 +178,11 @@ def test_tables_keep_their_arrays():
     want = {"ETA": np.diag([-1.0, 1.0, 1.0, 1.0]), "EPS3": eps,
             "ETA_INT": np.diag([-1, 1, 1, 1]).astype(np.int64),
             "_F_FLOAT": STRUCTURE_CONSTANTS.dense.astype(float),
-            "dense": STRUCTURE_CONSTANTS.dense}
+            "dense": STRUCTURE_CONSTANTS.dense,
+            "BFORM": np.diag([1.0, -1.0, -1.0, -1.0, 1.0])}
+    homes = {"dense": STRUCTURE_CONSTANTS, "BFORM": xpoincare.xlorentz}
     for name, ref in want.items():
-        got = getattr(STRUCTURE_CONSTANTS if name == "dense" else xpoincare.algebra, name)
+        got = getattr(homes.get(name, xpoincare.algebra), name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
         assert not got.flags.writeable, name
     assert len(STRUCTURE_CONSTANTS.rows(both_orders=True)) == 100

@@ -117,6 +117,15 @@ def test_malformed_matrix_exits_2_naming_the_field(tmp_path, capsys, matrix):
     assert err.startswith("error: ") and err.count("\n") == 1 and "matrix" in err
 
 
+def test_decompose_rejects_unknown_fields(tmp_path, capsys):
+    # as element documents do: exit 2, one error line naming the fields
+    eye = [[float(i == j) for j in range(5)] for i in range(5)]
+    path = write_json(tmp_path / "m.json", {"matrix": eye, "omega": [1, 2, 3, 4]})
+    assert main(["decompose", "--matrix", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: unknown matrix document fields: ['omega']\n"
+
+
 def test_compose_command(tmp_path):
     e2 = write_json(tmp_path / "e2.json", {"a": [1, 0, 0, 0], "alpha": 2.0})
     e1 = write_json(tmp_path / "e1.json", {"a": [0, 1, 0, 0], "alpha": -0.5})

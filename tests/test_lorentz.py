@@ -271,7 +271,7 @@ def test_boost_strip_matches_matrix_product():
         for _ in range(200):
             M = lorentz_matrix(random_theta(rng, size), random_theta(rng))
             ref = lorentz_matrix(M[1:, 0], np.zeros(3)) @ M
-            err = np.abs(np.array(_boost_strip(M.tolist())) - ref).max()
+            err = np.abs(np.array(_boost_strip(M.ravel().tolist())).reshape(4, 4) - ref).max()
             assert err <= 8 * eps * max(1.0, np.abs(M).max() ** 2)
 
 
@@ -284,6 +284,20 @@ def test_decompose_rejections():
         lorentz_decompose(np.eye(4) * 1.5)
     with pytest.raises(DecompositionError, match="4x4"):
         lorentz_decompose(np.eye(3))
+
+
+@pytest.mark.parametrize("field", ["u", "theta"])
+@pytest.mark.parametrize("value, message", [
+    ([1.0, 2.0], r"must have shape \(3,\), got \(2,\)"),
+    (np.zeros((3, 1)), r"must have shape \(3,\), got \(3, 1\)"),
+    ([math.nan, 0.0, 0.0], "must be finite")], ids=["short", "column", "nan"])
+def test_lorentz_matrix_rejects_as_xlparams(field, value, message):
+    # the same ValueError, naming the field, as XLParams gives
+    args = {"u": np.zeros(3), "theta": np.zeros(3), field: value}
+    with pytest.raises(ValueError, match=f"^{field} {message}$"):
+        lorentz_matrix(**args)
+    with pytest.raises(ValueError, match=f"^{field} {message}$"):
+        XLParams(**{field: value})
 
 
 def _metric_gate_edge():

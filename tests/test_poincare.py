@@ -5,9 +5,9 @@ import pickle
 import numpy as np
 import pytest
 
-from xpoincare.algebra import exp_ad
+from xpoincare.algebra import casimir_lambda, casimir_mu, exp_ad, invariance_residual
 from xpoincare.checks import sample_params
-from xpoincare.lorentz import DecompositionError
+from xpoincare.lorentz import DecompositionError, lorentz_decompose, lorentz_matrix
 from xpoincare.poincare import (GroupParams, _translation, compose,
                                 compose_via_affine, inverse, oplus,
                                 oplus_pure_factor_vector, params_to_vector,
@@ -298,16 +298,32 @@ def test_theta_claimed_mask_shape():
 
 
 def test_matrix_edges_return_fresh_arrays():
-    # each call of oplus and theta_closed makes its own writable float64 array
+    # every array edge makes its own writable, C-contiguous array of its
+    # dtype and shape on each call
     g = sample(np.random.default_rng(33))
-    for fn in (oplus, theta_closed):
-        m1, m2 = fn(g), fn(g)
+    lam, k = lorentz_matrix(g.xl.u, g.xl.theta), casimir_lambda()
+    edges = {
+        "oplus": (lambda: oplus(g), np.float64, (15, 15)),
+        "theta_closed": (lambda: theta_closed(g), np.float64, (15, 15)),
+        "theta_numeric": (lambda: theta_numeric(g), np.float64, (15, 15)),
+        "xl_matrix": (lambda: xl_matrix(g.xl), np.float64, (5, 5)),
+        "lorentz_matrix": (lambda: lorentz_matrix(g.xl.u, g.xl.theta), np.float64, (4, 4)),
+        "params_to_vector": (lambda: params_to_vector(g), np.float64, (15,)),
+        "lorentz_decompose u": (lambda: lorentz_decompose(lam)[0], np.float64, (3,)),
+        "lorentz_decompose theta": (lambda: lorentz_decompose(lam)[1], np.float64, (3,)),
+        "casimir_lambda": (casimir_lambda, np.int64, (15, 15)),
+        "casimir_mu": (casimir_mu, np.int64, (15, 15)),
+        "invariance_residual": (lambda: invariance_residual(k), np.int64, (15,)),
+        "theta_claimed_mask": (theta_claimed_mask, np.bool_, (15, 15)),
+    }
+    for name, (fn, dtype, shape) in edges.items():
+        m1, m2 = fn(), fn()
         for m in (m1, m2):
-            assert m.shape == (15, 15) and m.dtype == np.float64
-            assert m.flags.c_contiguous and m.flags.writeable
-        assert not np.shares_memory(m1, m2)
-        m1[:] = 0.0
-        assert np.array_equal(m2, fn(g), equal_nan=True)
+            assert m.shape == shape and m.dtype == dtype, name
+            assert m.flags.c_contiguous and m.flags.writeable, name
+        assert not np.shares_memory(m1, m2), name
+        m1[...] = 0
+        assert np.array_equal(m2, fn(), equal_nan=dtype == np.float64), name
 
 
 def test_theta_closed_matches_array_formulas():
