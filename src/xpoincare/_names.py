@@ -11,10 +11,10 @@ Python floats and ints, and every float kernel reads and writes flat
 row-major lists.  numpy is imported only where a value crosses into or out
 of an ndarray, and each crossing is one of the helpers below:
 
-- `_float_entries` reads a parameter field (a list, a tuple or any array)
-  into a checked tuple of floats, in Python where it can;
-- `_matrix_entries` reads a matrix argument: `asarray`, the shape check and
-  the flat list of its entries;
+- `_float_entries` reads a parameter value into a checked tuple of floats
+  by the one rule for a number (a real number that is not a bool);
+- `_matrix_entries` reads a matrix argument: `asarray`, the same rule on its
+  dtype, the shape check and the flat list of its entries;
 - `_ndarray` packs a flat list into a fresh, writable array;
 - `_array_field` shows a float tuple as a read-only ndarray field;
 - `_lazy_constants` makes a module's array constants on first read.
@@ -89,46 +89,63 @@ def _ndarray(entries, shape: tuple, dtype: str = "float64"):
 
 def _matrix_entries(M, shape: tuple, error=ValueError, dtype: str = "float64") -> list:
     """The entries of the matrix M, read as a numpy `dtype` array, as a flat
-    row-major list of Python numbers; a shape other than `shape` raises
-    `error`."""
+    row-major list of Python numbers.  M must be of `shape` and dtype kind i,
+    u or f (NaN passes, for the caller's gates), or `error` is raised."""
     import numpy as np
-    M = np.asarray(M, dtype=dtype)
+    M = np.asarray(M)
+    if M.dtype.kind not in "iuf":
+        raise error(f"expected a {shape[0]}x{shape[1]} matrix of numbers, got dtype {M.dtype}")
     if M.shape != shape:
         raise error(f"expected a {shape[0]}x{shape[1]} matrix, got {M.shape}")
-    return M.ravel().tolist()
+    return M.astype(dtype, copy=False).ravel().tolist()
 
 
 _NUMBERS = frozenset((float, int))
 
 
 def _float_entries(name: str, value, shape: tuple) -> tuple:
-    """The entries of a parameter array as a flat tuple of floats, row by
-    row, checked for `shape` and finiteness; every rejection is a ValueError
-    naming the field `name`.  A list or tuple of ints and floats, or of
-    equal-length lists or tuples of them, is read in Python; any other value
-    (an ndarray, a scalar, a string, deeper nesting) goes through numpy's
-    conversion first, which applies the same rules."""
-    got = None
-    if type(value) in (list, tuple):
-        if _NUMBERS.issuperset(map(type, value)):
+    """The entries of a parameter value as a flat tuple of floats, row by
+    row, checked for `shape` (`()` for one number) and finiteness; every
+    rejection is a ValueError naming the field `name`.
+
+    The one rule for a number, for the library and the command line: a real
+    number that is not a bool.  A float or an int, or a list or tuple of
+    them, takes the fast path.  Any other value with `__array__` is read by
+    numpy, and its dtype kind must be i, u or f; one without is read in
+    Python: a `numbers.Real`, a list or tuple of them, or equal-length lists
+    or tuples of those."""
+    if type(value) in (list, tuple) and _NUMBERS.issuperset(map(type, value)):
+        got = (len(value),)
+    elif type(value) in _NUMBERS:
+        got, value = (), (value,)
+    elif hasattr(value, "__array__"):
+        import numpy as np
+        a = np.asarray(value)
+        got, value = (a.shape, a.ravel().tolist()) if a.dtype.kind in "iuf" else (None, ())
+    else:
+        from numbers import Real
+
+        def reals(x):
+            return isinstance(x, (list, tuple)) and all(
+                isinstance(e, Real) and not isinstance(e, bool) for e in x)
+
+        if reals((value,)):
+            got, value = (), (value,)
+        elif reals(value):
             got = (len(value),)
-        elif value and all(type(r) in (list, tuple) and _NUMBERS.issuperset(map(type, r))
-                           for r in value):
-            if len(set(map(len, value))) > 1:  # ragged
-                raise ValueError(f"{name} must be a float array of shape {shape}")
+        elif isinstance(value, (list, tuple)) and all(map(reals, value)) \
+                and len(set(map(len, value))) == 1:
             got, value = (len(value), len(value[0])), [x for r in value for x in r]
+        else:
+            got = None
+    if got != shape:
+        raise ValueError(f"{name} must be a number" if shape == () else
+                         f"{name} must be a float array of shape {shape}" if got is None else
+                         f"{name} must have shape {shape}, got {got}")
     try:
-        if got is None:
-            import numpy as np
-            value = np.array(value, dtype=float)
-            got, value = value.shape, value.ravel().tolist()
         v = tuple(map(float, value))
     except OverflowError:  # an int beyond the float range
         raise ValueError(f"{name} must be finite") from None
-    except (TypeError, ValueError):  # ragged nesting, a string, a dict
-        raise ValueError(f"{name} must be a float array of shape {shape}") from None
-    if got != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {got}")
     if not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be finite")
     return v

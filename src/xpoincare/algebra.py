@@ -10,7 +10,10 @@ every 15x15 matrix in the package):
     ordinal 14      Gs            scalar translation
 
 Commutators are written [X_a, X_b] = i f_ab^c X_c with real structure
-constants f; every f value is an exact integer in {-1, 0, +1}.  The metric is
+constants f; every f value is an exact integer in {-1, 0, +1}.  The group law
+of `poincare` reads the table with one global sign, the i of this convention:
+for g = exp(eps e_a) and h = exp(eps e_b) in parameter coordinates, the
+parameters of g h g^-1 h^-1 are -eps^2 f_ab^c + O(eps^3).  The metric is
 eta = diag(-1, +1, +1, +1).  This signature is forced: it is the unique
 diagonal signature for which the commutator table below satisfies the Jacobi
 identity exactly (see tests), and it makes the invariant quadratic form on the

@@ -6,8 +6,9 @@ Group elements travel as JSON documents
     {"alpha": 0.0, "a": [0,0,0,0], "omega": [0,0,0,0], "u": [0,0,0],
      "theta": [0,0,0]}
 
-with missing fields defaulting to zero.  Values must be JSON numbers (true and
-"1" are not); lengths and finiteness are checked by GroupParams and XLParams.
+with missing fields defaulting to zero.  GroupParams and XLParams read the
+values, and decompose its 5x5 matrix, by one rule: a number is a real number
+that is not a bool (true and "1" are not).
 Exit codes: 0 success, 2 parse error (or an element whose W(omega), L(u) or
 `oplus` matrix overflows float64), 3 decomposition outside the reachable set,
 4 property failure in `check`.
@@ -91,29 +92,21 @@ def _print(obj):
 
 # --- element documents --------------------------------------------------------
 
-def _is_number(x) -> bool:
-    """A JSON number; bool is an int subclass, and true must not pass as 1.0."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
-def _is_number_list(x) -> bool:
-    return isinstance(x, list) and all(map(_is_number, x))
+def _document(obj, kind: str, fields: tuple) -> dict:
+    """obj, checked to be a JSON object with no fields but `fields`."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{kind} document must be a JSON object")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise ParseError(f"unknown {kind} document fields: {sorted(unknown)}")
+    return obj
 
 
 def parse_element_obj(obj) -> GroupParams:
-    """GroupParams from a parsed element document.  Only the JSON types are
-    checked here; lengths, finiteness and the zero defaults are the rules of
-    GroupParams and XLParams, whose rejections become a ParseError."""
-    if not isinstance(obj, dict):
-        raise ParseError("element document must be a JSON object")
-    unknown = set(obj) - set(_FIELDS)
-    if unknown:
-        raise ParseError(f"unknown element fields: {sorted(unknown)}")
-    for name, v in obj.items():
-        if name == "alpha" and not _is_number(v):
-            raise ParseError("field 'alpha' must be a number")
-        if name != "alpha" and not _is_number_list(v):
-            raise ParseError(f"field '{name}' must be a list of numbers")
+    """GroupParams from a parsed element document.  Its values, their
+    lengths, finiteness and the zero defaults are the rules of GroupParams
+    and XLParams, whose rejections become a ParseError."""
+    obj = _document(obj, "element", _FIELDS)
     try:
         xl = XLParams(**{k: v for k, v in obj.items() if k not in ("alpha", "a")})
         return GroupParams(xl=xl, **{k: v for k, v in obj.items() if k in ("alpha", "a")})
@@ -193,15 +186,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    obj = _load_json(args.matrix)
-    if not isinstance(obj, dict) or "matrix" not in obj:
-        raise ParseError("matrix document must be an object with a 'matrix' field")
-    unknown = set(obj) - {"matrix"}
-    if unknown:
-        raise ParseError(f"unknown matrix document fields: {sorted(unknown)}")
-    m = obj["matrix"]
-    if not (isinstance(m, list) and all(map(_is_number_list, m))):
-        raise ParseError("field 'matrix' must be a list of lists of numbers")
+    m = _document(_load_json(args.matrix), "matrix", ("matrix",)).get("matrix")
     p = _xl_decompose(_float_entries("matrix", m, (5, 5)))
     _print(element_doc(GroupParams(xl=p)))
     return 0

@@ -39,27 +39,18 @@ from .xlorentz import (XLParams, _dirac_coefficients, _xl_decompose, _xl_entries
 class GroupParams(_Frozen):
     """Canonical parameters (alpha, a, xl) of one group element.
 
-    Validated once, on construction: alpha into a float and a into a float
-    tuple `_a`, which the group law reads; the field `a` is a read-only
-    ndarray of it.
+    Validated once, on construction, by the number rule of `_float_entries`:
+    alpha into a float and a into a float tuple `_a`, which the group law
+    reads; the field `a` is a read-only ndarray of it.
     """
 
     __slots__ = ("alpha", "_a", "xl")
     a = _array_field("a")
 
     def __init__(self, alpha=0.0, a=(0.0,) * 4, xl=XLParams()):
-        a = _float_entries("a", a, (4,))
-        try:
-            alpha = float(alpha)
-        except OverflowError:  # an int beyond the float range
-            alpha = math.inf
-        except (TypeError, ValueError):  # a string, a dict, None, a list
-            raise ValueError("alpha must be a number") from None
-        if not math.isfinite(alpha):
-            raise ValueError("alpha must be finite")
         init = object.__setattr__
-        init(self, "alpha", alpha)
-        init(self, "_a", a)
+        init(self, "alpha", _float_entries("alpha", alpha, ())[0])
+        init(self, "_a", _float_entries("a", a, (4,)))
         init(self, "xl", xl)
 
     def __repr__(self):
@@ -94,11 +85,7 @@ def params_to_vector(g: GroupParams) -> np.ndarray:
 
 
 def vector_to_params(v) -> GroupParams:
-    import numpy as np
-    v = np.asarray(v, dtype=float)
-    if v.shape != (15,):
-        raise ValueError(f"parameter vector must have shape (15,), got {v.shape}")
-    return _from_vector(v.tolist())
+    return _from_vector(_float_entries("parameter vector", v, (15,)))
 
 
 def _translation(g: GroupParams) -> np.ndarray:

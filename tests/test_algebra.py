@@ -284,7 +284,10 @@ def test_element_commands_do_not_load_numpy(tmp_path):
     files = {}
     for name, obj in (("g2", element_doc(g2)), ("g1", element_doc(g1)),
                       ("m", {"matrix": m.tolist()}), ("outside", {"matrix": outside.tolist()}),
-                      ("big", {"omega": [0, 400, 0, 0]}), ("table", table_to_json_obj())):
+                      ("big", {"omega": [0, 400, 0, 0]}), ("table", table_to_json_obj()),
+                      ("str", {"alpha": "1"}), ("dict", {"a": {"0": 1}}),
+                      ("mstr", {"matrix": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, "1", 0],
+                                           [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]})):
         files[name] = str(tmp_path / f"{name}.json")
         with open(files[name], "w", encoding="utf-8") as fh:
             json.dump(obj, fh)
@@ -305,6 +308,9 @@ def test_element_commands_do_not_load_numpy(tmp_path):
         (["oplus", files["g1"]], 0, _matrix_text(oplus(g1)), False),
         (["oplus", files["g1"], "--csv", "--labels"], 0, _csv_text(oplus(g1)), False),
         (["oplus", files["big"]], 2, "", False),
+        (["invert", files["str"]], 2, "", False),
+        (["invert", files["dict"]], 2, "", False),
+        (["decompose", "--matrix", files["mstr"]], 2, "", False),
         (["check", "--suite", "jacobi", "--trials", "10", "--seed", "3"], 0,
          report("jacobi", 10, 3), False),
         (["check", "--suite", "casimir"], 0, report("casimir", 200, 0), False),

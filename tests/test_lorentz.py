@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpoincare.algebra import EPS3, ETA
+from xpoincare.algebra import EPS3, ETA, invariance_residual
 from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
-                               _boost_strip, lorentz_decompose, lorentz_matrix,
+                               _boost_strip, _det4, lorentz_decompose, lorentz_matrix,
                                metric_residual, rapidity, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
 from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
@@ -365,3 +365,23 @@ def test_decompose_rejects_non_finite(M):
     with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="metric"):
         lorentz_decompose(M)
 
+
+@pytest.mark.parametrize("fn,error,n", [
+    (lorentz_decompose, DecompositionError, 4), (metric_residual, ValueError, 4),
+    (xl_decompose, DecompositionError, 5), (b_residual, ValueError, 5),
+    (invariance_residual, ValueError, 15)])
+@pytest.mark.parametrize("kind", [bool, str])
+def test_matrix_arguments_must_hold_numbers(fn, error, n, kind):
+    # the number rule of the parameters: a bool or a string is not read as a number
+    with pytest.raises(error, match=f"{n}x{n} matrix of numbers"):
+        fn(np.eye(n).astype(kind))
+
+
+def test_det4_of_general_matrices():
+    # general 4x4 matrices, not only Lorentz ones, so that every 2x2 minor counts
+    rng = np.random.default_rng(9)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(200):
+            m = rng.normal(size=(4, 4)) * scale
+            ref = np.linalg.det(m)
+            assert abs(_det4(m.ravel().tolist()) - ref) <= 1e-13 * max(1.0, np.abs(m).max() ** 4)

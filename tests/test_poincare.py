@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
 
-from xpoincare.algebra import casimir_lambda, casimir_mu, exp_ad, invariance_residual
+from xpoincare.algebra import (STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, exp_ad,
+                               invariance_residual)
 from xpoincare.checks import sample_params
 from xpoincare.lorentz import DecompositionError, lorentz_decompose, lorentz_matrix
 from xpoincare.poincare import (GroupParams, _translation, compose,
@@ -377,8 +379,45 @@ def test_params_are_immutable_and_pickle():
     assert np.array_equal(params_to_vector(h), params_to_vector(g))
 
 
-@pytest.mark.parametrize("alpha", ["x", {}, None, [1.0]],
-                         ids=["str", "dict", "none", "list"])
+@pytest.mark.parametrize("alpha", ["x", {}, None, [1.0], True, "1.5", np.bool_(True)],
+                         ids=["str", "dict", "none", "list", "bool", "numeric-str", "numpy-bool"])
 def test_group_params_rejects_non_number_alpha(alpha):
     with pytest.raises(ValueError, match="alpha"):
         GroupParams(alpha=alpha)
+
+
+def test_vector_and_numpy_numbers_follow_the_number_rule():
+    # one rule for the library and the command line: a number is a real
+    # number that is not a bool; numpy's numbers and int arrays are numbers
+    g = GroupParams(alpha=np.array(2.5), a=[np.float64(0.5), np.int64(-1), 0, 2],
+                    xl=XLParams(omega=np.array([1, 0, 0, 0]), u=np.zeros(3, np.float32),
+                                theta=(np.int64(1), 0.25, np.uint8(2))))
+    assert g.alpha == 2.5 and type(g.alpha) is float
+    assert list(g._a) == [0.5, -1.0, 0.0, 2.0]
+    assert g.xl._omega == (1.0, 0.0, 0.0, 0.0) and g.xl._theta == (1.0, 0.25, 2.0)
+    assert all(type(x) is float for x in g.xl._u + g.xl._theta)
+    assert GroupParams(alpha=np.int64(3)).alpha == 3.0
+    assert params_to_vector(vector_to_params(np.arange(15))).tolist() == list(range(15))
+    with pytest.raises(ValueError, match="^alpha must be finite$"):
+        GroupParams(alpha=10 ** 400)
+    with pytest.raises(ValueError, match="^parameter vector must be finite$"):
+        vector_to_params([10 ** 400] + [0] * 14)
+    with pytest.raises(ValueError, match="^parameter vector must be a float array"):
+        vector_to_params([True] * 15)
+
+
+def test_group_commutator_reads_the_integer_table():
+    # for each ordered pair of generators, the parameters of g h g^-1 h^-1
+    # with g = exp(eps e_a), h = exp(eps e_b) are eps^2 (-f_ab^c) + O(eps^3);
+    # the Richardson combination 2 c(eps) - c(2 eps) cancels the eps^3 term.
+    # The one global -1 is the i of [X_a, X_b] = i f_ab^c X_c
+    f = STRUCTURE_CONSTANTS.dense
+
+    def commutator(a, b, eps):
+        g, h = (vector_to_params(eps * np.eye(15)[k]) for k in (a, b))
+        c = compose(compose(g, h), compose(inverse(g), inverse(h)))
+        return params_to_vector(c) / eps ** 2
+
+    for a, b in itertools.permutations(range(15), 2):
+        c = 2 * commutator(a, b, 1e-4) - commutator(a, b, 2e-4)
+        assert np.abs(c + f[a, b]).max() < 1e-7, (a, b)

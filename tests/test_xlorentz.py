@@ -381,7 +381,8 @@ def test_decompose_lorentz_gates_are_reachable(diag, message):
 @pytest.mark.parametrize("name,value", [
     ("omega", [np.nan, 0.0, 0.0, 0.0]), ("omega", [0.0, np.inf, 0.0, 0.0]),
     ("u", [0.0, 0.0, -np.inf]), ("theta", [np.nan] * 3),
-    ("omega", np.zeros(3)), ("u", np.zeros((3, 1))), ("theta", 0.0)])
+    ("omega", np.zeros(3)), ("u", np.zeros((3, 1))), ("theta", 0.0),
+    ("omega", [True, 0, 0, 0]), ("u", ["1", "2", "3"]), ("theta", np.array([True, False, True]))])
 def test_xlparams_rejects_non_finite_and_wrong_shape(name, value):
     with pytest.raises(ValueError, match=name):
         XLParams(**{name: value})
