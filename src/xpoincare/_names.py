@@ -11,17 +11,18 @@ Python floats and ints, and every float kernel reads and writes flat
 row-major lists.  numpy is imported only where a value crosses into or out
 of an ndarray, and each crossing is one of the helpers below:
 
-- `_float_entries` reads a parameter value into a checked tuple of floats
-  by the one rule for a number (a real number that is not a bool);
-- `_matrix_entries` reads a matrix argument: `asarray`, the same rule on its
-  dtype, the shape check and the flat list of its entries;
+- `_real_entries` reads every outside value, a parameter or a matrix
+  argument, into a shape-checked tuple of floats by the one rule for a
+  number (a real number that is not a bool); `_float_entries` is that read
+  of a parameter, whose entries must also be finite;
 - `_ndarray` packs a flat list into a fresh, writable array;
 - `_array_field` shows a float tuple as a read-only ndarray field;
 - `_lazy_constants` makes a module's array constants on first read.
 
 The numpy computations themselves (`rapidity`, `commutator`, `adjoint_of`,
 `exp_ad`, `compose_via_affine`, `oplus_pure_factor_vector`, the samplers of
-`checks`) feed the oracles and stay numpy code.
+`checks`) feed the oracles and stay numpy code; they read their array
+arguments with `np.asarray`, outside the number rule.
 """
 
 import math
@@ -87,26 +88,14 @@ def _ndarray(entries, shape: tuple, dtype: str = "float64"):
     return np.frombuffer(data, np_dtype).copy().reshape(shape)
 
 
-def _matrix_entries(M, shape: tuple, error=ValueError, dtype: str = "float64") -> list:
-    """The entries of the matrix M, read as a numpy `dtype` array, as a flat
-    row-major list of Python numbers.  M must be of `shape` and dtype kind i,
-    u or f (NaN passes, for the caller's gates), or `error` is raised."""
-    import numpy as np
-    M = np.asarray(M)
-    if M.dtype.kind not in "iuf":
-        raise error(f"expected a {shape[0]}x{shape[1]} matrix of numbers, got dtype {M.dtype}")
-    if M.shape != shape:
-        raise error(f"expected a {shape[0]}x{shape[1]} matrix, got {M.shape}")
-    return M.astype(dtype, copy=False).ravel().tolist()
-
-
 _NUMBERS = frozenset((float, int))
 
 
-def _float_entries(name: str, value, shape: tuple) -> tuple:
-    """The entries of a parameter value as a flat tuple of floats, row by
-    row, checked for `shape` (`()` for one number) and finiteness; every
-    rejection is a ValueError naming the field `name`.
+def _real_entries(name: str, value, shape: tuple, error=ValueError) -> tuple:
+    """The entries of `value` as a flat tuple of floats, row by row, checked
+    for `shape` (`()` for one number); every rejection is an `error` naming
+    `name`.  NaN and infinities pass, for the gates of the matrix functions;
+    an int beyond the float range has no float and is rejected.
 
     The one rule for a number, for the library and the command line: a real
     number that is not a bool.  A float or an int, or a list or tuple of
@@ -139,13 +128,18 @@ def _float_entries(name: str, value, shape: tuple) -> tuple:
         else:
             got = None
     if got != shape:
-        raise ValueError(f"{name} must be a number" if shape == () else
-                         f"{name} must be a float array of shape {shape}" if got is None else
-                         f"{name} must have shape {shape}, got {got}")
+        raise error(f"{name} must be a number" if shape == () else
+                    f"{name} must be a float array of shape {shape}" if got is None else
+                    f"{name} must have shape {shape}, got {got}")
     try:
-        v = tuple(map(float, value))
+        return tuple(map(float, value))
     except OverflowError:  # an int beyond the float range
-        raise ValueError(f"{name} must be finite") from None
+        raise error(f"{name} must be finite") from None
+
+
+def _float_entries(name: str, value, shape: tuple) -> tuple:
+    """`_real_entries` of a parameter value, which must also be finite."""
+    v = _real_entries(name, value, shape)
     if not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be finite")
     return v

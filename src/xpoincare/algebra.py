@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 from enum import IntEnum
 
-from ._names import GENERATOR_NAMES, _Frozen, _lazy_constants, _matrix_entries, _ndarray
+from ._names import GENERATOR_NAMES, _float_entries, _Frozen, _lazy_constants, _ndarray
 
 
 class GeneratorIndex(IntEnum):
@@ -275,10 +275,12 @@ def invariance_residual(kmat: np.ndarray,
     """Per-row max |F_r^T K + K F_r|, the adjoint-invariance defect of K.
 
     Exactly zero in row r iff the quadratic form K commutes with generator r.
-    Integer arithmetic throughout; K is read as a 15x15 int64 array (float
-    entries truncated) and the result is an int64 array of 15.
+    Integer arithmetic throughout.  K is read as a parameter is, into finite
+    floats (exact for entries up to 2**53 in magnitude), a non-finite K is a
+    ValueError, and each entry is truncated toward zero; the result is an
+    int64 array of 15.
     """
-    k = _matrix_entries(kmat, (15, 15), ValueError, "int64")
+    k = [int(x) for x in _float_entries("kmat", kmat, (15, 15))]
     return _ndarray(_invariance_residual(k, table), (15,), "int64")
 
 

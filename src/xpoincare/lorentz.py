@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 
-from ._names import _float_entries, _matrix_entries, _ndarray
+from ._names import _float_entries, _ndarray, _real_entries
 
 
 class DecompositionError(ValueError):
@@ -127,7 +127,7 @@ def _metric_residual(m) -> float:
 
 def metric_residual(M) -> float:
     """max |M^T eta M - eta| of a 4x4 matrix."""
-    return _metric_residual(_matrix_entries(M, (4, 4)))
+    return _metric_residual(_real_entries("M", M, (4, 4)))
 
 
 # --- parameter recovery -----------------------------------------------------
@@ -216,7 +216,7 @@ def lorentz_decompose(M):
     gate leaves |M^0_0| >= 1 - 5e-9 and ||det| - 1| near 2e-8 at most, so
     only the two signs are left to test.
     """
-    u, theta = _lorentz_params(_matrix_entries(M, (4, 4), DecompositionError))
+    u, theta = _lorentz_params(_real_entries("M", M, (4, 4), DecompositionError))
     return _ndarray(u, (3,)), _ndarray(theta, (3,))
 
 

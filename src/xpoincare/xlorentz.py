@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 
 from ._names import (_array_field, _float_entries, _Frozen, _lazy_constants,
-                     _matrix_entries, _ndarray)
+                     _ndarray, _real_entries)
 from .lorentz import (DecompositionError, _lorentz_entries, _lorentz_params,
                       _max_abs, trig_h, trig_s)
 
@@ -136,7 +136,7 @@ def _b_residual(d) -> float:
 
 def b_residual(M) -> float:
     """max |M^T B M - B| of a 5x5 matrix."""
-    return _b_residual(_matrix_entries(M, (5, 5)))
+    return _b_residual(_real_entries("M", M, (5, 5)))
 
 
 def _omega_from_gs_column(v0, v1, v2, v3, c) -> list:
@@ -219,4 +219,4 @@ def xl_decompose(M) -> XLParams:
     M[Gs, Gs] < -1) fail the block-diagonality gate after the Dirac boost is
     stripped and are rejected with a diagnostic.
     """
-    return _xl_decompose(_matrix_entries(M, (5, 5), DecompositionError))
+    return _xl_decompose(_real_entries("M", M, (5, 5), DecompositionError))

@@ -159,8 +159,24 @@ def test_invariance_residual_of_a_full_matrix():
 
 
 def test_invariance_residual_rejects_a_wrong_shape():
-    with pytest.raises(ValueError, match=r"expected a 15x15 matrix, got \(3, 3\)"):
+    with pytest.raises(ValueError, match=r"kmat must have shape \(15, 15\), got \(3, 3\)"):
         invariance_residual(np.eye(3, dtype=int))
+
+
+def test_invariance_residual_rejects_a_non_finite_k():
+    k = np.eye(15)
+    k[14, 14] = np.inf
+    with pytest.raises(ValueError, match="^kmat must be finite$"):
+        invariance_residual(k)
+
+
+def test_invariance_residual_truncates_toward_zero():
+    # float entries truncate toward zero, as a cast to int64 does: +-1.5
+    # reads +-1, and -1.9 reads -1 (not -2, as floor or rounding would)
+    assert invariance_residual(casimir_mu() * 1.5).tolist() == \
+        invariance_residual(casimir_mu()).tolist()
+    assert invariance_residual(np.eye(15) * -1.9).tolist() == \
+        invariance_residual(-np.eye(15, dtype=int)).tolist()
 
 
 def test_invariance_residual_beyond_int64_overflows():

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,7 +283,7 @@ def test_decompose_rejections():
         lorentz_decompose(np.diag([1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(DecompositionError, match="metric"):
         lorentz_decompose(np.eye(4) * 1.5)
-    with pytest.raises(DecompositionError, match="4x4"):
+    with pytest.raises(DecompositionError, match=r"M must have shape \(4, 4\), got \(3, 3\)"):
         lorentz_decompose(np.eye(3))
 
 
@@ -366,15 +367,47 @@ def test_decompose_rejects_non_finite(M):
         lorentz_decompose(M)
 
 
+def _identity_as(kind, n):
+    """The n x n identity as a bool or str array, or as a list of lists with
+    one entry made True, "1", None or 2**70, with its last row cut short, or
+    with every entry a Fraction."""
+    if kind in ("bool", "str"):
+        return np.eye(n).astype(kind)
+    m = np.eye(n, dtype=int).tolist()
+    if kind == "fraction":
+        return [[Fraction(x) for x in row] for row in m]
+    if kind == "ragged":
+        m[-1].pop()
+    else:
+        m[0][1] = {"true": True, "string": "1", "none": None, "big-int": 2**70}[kind]
+    return m
+
+
+def _outcome(fn, M):
+    """What fn makes of M: the repr of its result, or its error's class and message."""
+    try:
+        return repr(fn(M))
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e)
+
+
 @pytest.mark.parametrize("fn,error,n", [
     (lorentz_decompose, DecompositionError, 4), (metric_residual, ValueError, 4),
     (xl_decompose, DecompositionError, 5), (b_residual, ValueError, 5),
     (invariance_residual, ValueError, 15)])
-@pytest.mark.parametrize("kind", [bool, str])
+@pytest.mark.parametrize("kind", ["bool", "str", "true", "string", "none", "ragged",
+                                  "big-int", "fraction"])
 def test_matrix_arguments_must_hold_numbers(fn, error, n, kind):
-    # the number rule of the parameters: a bool or a string is not read as a number
-    with pytest.raises(error, match=f"{n}x{n} matrix of numbers"):
-        fn(np.eye(n).astype(kind))
+    # the number rule of the parameters: a bool, a string or None is not read
+    # as a number, nor are ragged rows a matrix; an int beyond int64 and a
+    # Fraction are numbers, read as the float array of the same entries is
+    M = _identity_as(kind, n)
+    if kind in ("big-int", "fraction"):
+        assert _outcome(fn, M) == _outcome(fn, np.array(M, dtype=float))
+        return
+    name = "kmat" if n == 15 else "M"
+    with pytest.raises(error, match=rf"^{name} must be a float array of shape \({n}, {n}\)$"):
+        fn(M)
 
 
 def test_det4_of_general_matrices():

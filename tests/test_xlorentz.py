@@ -301,7 +301,7 @@ def test_decompose_rejects_outside_reachable_set():
 def test_decompose_rejects_non_group_input():
     with pytest.raises(DecompositionError, match="B-form"):
         xl_decompose(np.eye(5) * 1.1)
-    with pytest.raises(DecompositionError, match="5x5"):
+    with pytest.raises(DecompositionError, match=r"M must have shape \(5, 5\), got \(4, 4\)"):
         xl_decompose(np.eye(4))
 
 
