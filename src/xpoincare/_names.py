@@ -13,8 +13,9 @@ of an ndarray, and each crossing is one of the helpers below:
 
 - `_real_entries` reads every outside value, a parameter or a matrix
   argument, into a shape-checked tuple of floats by the one rule for a
-  number (a real number that is not a bool); `_float_entries` is that read
-  of a parameter, whose entries must also be finite;
+  number (a real number that is not a bool), in one walk, `_read`, of at
+  most two list levels over numbers and numpy arrays; `_float_entries` is
+  that read of a parameter, whose entries must also be finite;
 - `_ndarray` packs a flat list into a fresh, writable array;
 - `_array_field` shows a float tuple as a read-only ndarray field;
 - `_lazy_constants` makes a module's array constants on first read.
@@ -91,6 +92,28 @@ def _ndarray(entries, shape: tuple, dtype: str = "float64"):
 _NUMBERS = frozenset((float, int))
 
 
+def _read(x, depth: int):
+    """The shape of `x` and its entries, row by row, or None when `x` is not
+    an array of numbers: a number, a numpy array of dtype kind i, u or f, or
+    (at most `depth` list levels deep) a list or tuple of equal-shaped values
+    of these kinds.  A list or tuple of floats and ints takes the fast path."""
+    if isinstance(x, (list, tuple)) and depth and _NUMBERS.issuperset(map(type, x)):
+        return (len(x),), x
+    if type(x) in _NUMBERS:
+        return (), (x,)
+    if isinstance(x, (list, tuple)) and depth:
+        parts = [_read(e, depth - 1) for e in x]
+        if not all(parts) or len({p[0] for p in parts}) != 1:
+            return None
+        return (len(x),) + parts[0][0], [v for p in parts for v in p[1]]
+    if hasattr(x, "__array__"):
+        import numpy as np
+        a = np.asarray(x)
+        return (a.shape, a.ravel().tolist()) if a.dtype.kind in "iuf" else None
+    from numbers import Real
+    return ((), (x,)) if isinstance(x, Real) and not isinstance(x, bool) else None
+
+
 def _real_entries(name: str, value, shape: tuple, error=ValueError) -> tuple:
     """The entries of `value` as a flat tuple of floats, row by row, checked
     for `shape` (`()` for one number); every rejection is an `error` naming
@@ -98,41 +121,14 @@ def _real_entries(name: str, value, shape: tuple, error=ValueError) -> tuple:
     an int beyond the float range has no float and is rejected.
 
     The one rule for a number, for the library and the command line: a real
-    number that is not a bool.  A float or an int, or a list or tuple of
-    them, takes the fast path.  Any other value with `__array__` is read by
-    numpy, and its dtype kind must be i, u or f; one without is read in
-    Python: a `numbers.Real`, a list or tuple of them, or equal-length lists
-    or tuples of those."""
-    if type(value) in (list, tuple) and _NUMBERS.issuperset(map(type, value)):
-        got = (len(value),)
-    elif type(value) in _NUMBERS:
-        got, value = (), (value,)
-    elif hasattr(value, "__array__"):
-        import numpy as np
-        a = np.asarray(value)
-        got, value = (a.shape, a.ravel().tolist()) if a.dtype.kind in "iuf" else (None, ())
-    else:
-        from numbers import Real
-
-        def reals(x):
-            return isinstance(x, (list, tuple)) and all(
-                isinstance(e, Real) and not isinstance(e, bool) for e in x)
-
-        if reals((value,)):
-            got, value = (), (value,)
-        elif reals(value):
-            got = (len(value),)
-        elif isinstance(value, (list, tuple)) and all(map(reals, value)) \
-                and len(set(map(len, value))) == 1:
-            got, value = (len(value), len(value[0])), [x for r in value for x in r]
-        else:
-            got = None
-    if got != shape:
+    number that is not a bool, read by `_read` at most two list levels deep."""
+    got = _read(value, 2)
+    if got is None or got[0] != shape:
         raise error(f"{name} must be a number" if shape == () else
                     f"{name} must be a float array of shape {shape}" if got is None else
-                    f"{name} must have shape {shape}, got {got}")
+                    f"{name} must have shape {shape}, got {got[0]}")
     try:
-        return tuple(map(float, value))
+        return tuple(map(float, got[1]))
     except OverflowError:  # an int beyond the float range
         raise error(f"{name} must be finite") from None
 

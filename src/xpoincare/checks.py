@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from functools import partial
 
 from ._names import SUITE_NAMES
 from .algebra import (_CASIMIR_LAMBDA, _CASIMIR_MU, GENERATOR_NAMES, STRUCTURE_CONSTANTS,
@@ -341,22 +340,16 @@ def suite_theta(trials, seed):
     return s.result()
 
 
-def _suite_table(table: StructureConstants | None = None) -> dict:
-    """Every suite in report order, `suite_<name>` for each of SUITE_NAMES, as
-    a function of (trials, seed); looked up per call, so a suite rebound on
-    this module (as perfbench/tracer.py does) runs."""
-    suites = {n: globals()["suite_" + n.replace("-", "_")] for n in SUITE_NAMES}
-    for n in ("jacobi", "casimir"):
-        suites[n] = partial(suites[n], table=table)
-    return suites
-
-
 def run_suite(name, trials, seed, table: StructureConstants | None = None) -> dict:
-    """Run one suite (or 'all') and assemble the deterministic report."""
-    suites = _suite_table(table)
+    """Run one suite (or 'all') and assemble the deterministic report.  Suite
+    `n` is `suite_<n>` looked up on this module at the call, so a suite
+    rebound here (as perfbench/tracer.py does) runs; jacobi and casimir read
+    `table`."""
     properties, failures = [], []
-    for n in suites if name == "all" else [name]:
-        props, fails = suites[n](trials, seed)
+    for n in SUITE_NAMES if name == "all" else [name]:
+        suite = globals()["suite_" + n.replace("-", "_")]
+        props, fails = (suite(trials, seed, table=table) if n in ("jacobi", "casimir")
+                        else suite(trials, seed))
         for p in props:
             p["suite"] = n
         properties.extend(props)

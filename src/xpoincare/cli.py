@@ -122,7 +122,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # no file, not UTF-8, too deep
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, "

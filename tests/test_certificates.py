@@ -44,9 +44,9 @@ def terms(monkeypatch):
         monkeypatch.setattr(module, "_max_abs", lambda xs: xs)
 
 
-def test_det4_is_the_determinant():
-    M = _symbols("m", 4)
-    _assert_identical([lorentz._det4(_entries(M))], [M.det()])
+def test_det3_is_the_determinant():
+    M = _symbols("m", 3)
+    _assert_identical([lorentz._det3(_entries(M))], [M.det()])
 
 
 def test_metric_residual_is_the_upper_triangle_of_its_definition(terms):

@@ -117,6 +117,23 @@ def test_malformed_matrix_exits_2_naming_the_field(tmp_path, capsys, matrix):
     assert err.startswith("error: ") and err.count("\n") == 1 and "matrix" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"matrix": %s1%s}' % (b"[" * 900, b"]" * 900),
+     "matrix must be a float array of shape (5, 5)"),
+    (b"[" * 100000 + b"]" * 100000, "cannot read {path}: "),
+    (b'{"matrix": "\xff"}', "cannot read {path}: ")],
+    ids=["matrix-900-deep", "document-100000-deep", "not-utf-8"])
+def test_unreadable_matrix_document_exits_2(tmp_path, data, message):
+    # a fresh process, as a user runs it: the depth json parses depends on
+    # the stack the parser starts on
+    path = tmp_path / "m.json"
+    path.write_bytes(data)
+    r = run_cli(["decompose", "--matrix", str(path)])
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert message.format(path=path) in r.stderr
+
+
 def test_decompose_rejects_unknown_fields(tmp_path, capsys):
     # as element documents do: exit 2, one error line naming the fields
     eye = [[float(i == j) for j in range(5)] for i in range(5)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import EPS3, ETA, invariance_residual
 from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
-                               _boost_strip, _det4, lorentz_decompose, lorentz_matrix,
+                               _boost_strip, _det3, lorentz_decompose, lorentz_matrix,
                                metric_residual, rapidity, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
 from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
@@ -368,11 +368,13 @@ def test_decompose_rejects_non_finite(M):
 
 
 def _identity_as(kind, n):
-    """The n x n identity as a bool or str array, or as a list of lists with
-    one entry made True, "1", None or 2**70, with its last row cut short, or
-    with every entry a Fraction."""
+    """The n x n identity as a bool or str array, as a list of float ndarray
+    rows, or as a list of lists with one entry made True, "1", None or 2**70,
+    with its last row cut short, or with every entry a Fraction."""
     if kind in ("bool", "str"):
         return np.eye(n).astype(kind)
+    if kind == "array-rows":
+        return list(np.eye(n))
     m = np.eye(n, dtype=int).tolist()
     if kind == "fraction":
         return [[Fraction(x) for x in row] for row in m]
@@ -396,13 +398,14 @@ def _outcome(fn, M):
     (xl_decompose, DecompositionError, 5), (b_residual, ValueError, 5),
     (invariance_residual, ValueError, 15)])
 @pytest.mark.parametrize("kind", ["bool", "str", "true", "string", "none", "ragged",
-                                  "big-int", "fraction"])
+                                  "big-int", "fraction", "array-rows"])
 def test_matrix_arguments_must_hold_numbers(fn, error, n, kind):
     # the number rule of the parameters: a bool, a string or None is not read
-    # as a number, nor are ragged rows a matrix; an int beyond int64 and a
-    # Fraction are numbers, read as the float array of the same entries is
+    # as a number, nor are ragged rows a matrix; an int beyond int64, a
+    # Fraction and a list of ndarray rows are numbers, read as the float array
+    # of the same entries is
     M = _identity_as(kind, n)
-    if kind in ("big-int", "fraction"):
+    if kind in ("big-int", "fraction", "array-rows"):
         assert _outcome(fn, M) == _outcome(fn, np.array(M, dtype=float))
         return
     name = "kmat" if n == 15 else "M"
@@ -410,11 +413,11 @@ def test_matrix_arguments_must_hold_numbers(fn, error, n, kind):
         fn(M)
 
 
-def test_det4_of_general_matrices():
-    # general 4x4 matrices, not only Lorentz ones, so that every 2x2 minor counts
+def test_det3_of_general_matrices():
+    # general 3x3 matrices, not only rotations, so that every 2x2 minor counts
     rng = np.random.default_rng(9)
     for scale in (1e-3, 1.0, 1e3):
         for _ in range(200):
-            m = rng.normal(size=(4, 4)) * scale
+            m = rng.normal(size=(3, 3)) * scale
             ref = np.linalg.det(m)
-            assert abs(_det4(m.ravel().tolist()) - ref) <= 1e-13 * max(1.0, np.abs(m).max() ** 4)
+            assert abs(_det3(m.ravel().tolist()) - ref) <= 1e-13 * max(1.0, np.abs(m).max() ** 3)
