@@ -16,7 +16,8 @@ of an ndarray, and each crossing is one of the helpers below:
   number (a real number that is not a bool), in one walk, `_read`, of at
   most two list levels over numbers and numpy arrays; `_float_entries` is
   that read of a parameter, whose entries must also be finite;
-- `_ndarray` packs a flat list into a fresh, writable array;
+- `_ndarray` packs a flat list into a fresh, writable array, with one
+  `struct.Struct` and dtype kept per size and dtype (`_layout`);
 - `_array_field` shows a float tuple as a read-only ndarray field;
 - `_lazy_constants` makes a module's array constants on first read.
 
@@ -26,7 +27,9 @@ The numpy computations themselves (`rapidity`, `commutator`, `adjoint_of`,
 arguments with `np.asarray`, outside the number rule.
 """
 
+import functools
 import math
+import struct
 
 # The 15 basis generators in frozen canonical order (see `algebra`).
 GENERATOR_NAMES = (
@@ -73,17 +76,27 @@ def _lazy_constants(namespace: dict, makers: dict):
     return __getattr__
 
 
-def _ndarray(entries, shape: tuple, dtype: str = "float64"):
-    """A fresh, writable, C-contiguous array of `shape` and numpy `dtype`
-    holding the flat row-major `entries`.  Packed to bytes and copied once:
-    faster than np.array or np.fromiter of the list, which convert entry by
-    entry, and the array owns its memory, as theirs do.  struct reads the
-    dtype's character code as the same C type that numpy does."""
-    import struct
+@functools.cache
+def _layout(size: int, dtype: str):
+    """The `struct.Struct` that packs `size` entries of numpy `dtype`, and
+    that dtype, made once per pair and kept: the callers pack a fixed set of
+    sizes and dtypes, so the cache stays small.  struct reads the dtype's
+    character code as the same C type that numpy does."""
     import numpy as np
     np_dtype = np.dtype(dtype)
+    return struct.Struct(f"{size}{np_dtype.char}"), np_dtype
+
+
+def _ndarray(entries, shape: tuple, dtype: str = "float64"):
+    """A fresh, writable, C-contiguous array of `shape` and numpy `dtype`
+    holding the flat row-major `entries`.  Packed to bytes by the packer kept
+    for its size and dtype, and copied once: faster than np.array or
+    np.fromiter of the list, which convert entry by entry, and the array owns
+    its memory, as theirs do."""
+    import numpy as np
+    packer, np_dtype = _layout(len(entries), dtype)
     try:
-        data = struct.pack(f"{len(entries)}{np_dtype.char}", *entries)
+        data = packer.pack(*entries)
     except struct.error:  # an int beyond int64: numpy's conversion raises its OverflowError
         return np.array(entries, np_dtype).reshape(shape)
     return np.frombuffer(data, np_dtype).copy().reshape(shape)

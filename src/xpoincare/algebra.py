@@ -32,25 +32,9 @@ from enum import IntEnum
 from ._names import GENERATOR_NAMES, _float_entries, _Frozen, _lazy_constants, _ndarray
 
 
-class GeneratorIndex(IntEnum):
-    """The 15 basis generators in frozen canonical order."""
-
-    J1 = 0
-    J2 = 1
-    J3 = 2
-    K1 = 3
-    K2 = 4
-    K3 = 5
-    GAM0 = 6
-    GAM1 = 7
-    GAM2 = 8
-    GAM3 = 9
-    P0 = 10
-    P1 = 11
-    P2 = 12
-    P3 = 13
-    GS = 14
-
+GeneratorIndex = IntEnum("GeneratorIndex", [(n.upper(), i) for i, n in enumerate(GENERATOR_NAMES)],
+                         module=__name__)
+GeneratorIndex.__doc__ = "The 15 basis generators in frozen canonical order."
 
 _NAME_TO_ORDINAL = {n: i for i, n in enumerate(GENERATOR_NAMES)}
 

@@ -170,6 +170,23 @@ def inverse(g: GroupParams) -> GroupParams:
 
 # --- fundamental representation ----------------------------------------------
 
+def _generator_row(x, y, p, q) -> list:
+    """Row A of oplus(g) outside the (P, Gs) block, from x = D[i, :] and
+    y = D[j, :], (i, j) the support of G_A: the ten minors
+    x_k y_l - x_l y_k over the supports (k, l) of G_C in generator order,
+    then the translation row p y + q x."""
+    x0, x1, x2, x3, x4 = x
+    y0, y1, y2, y3, y4 = y
+    return [x3 * y2 - x2 * y3, x1 * y3 - x3 * y1, x2 * y1 - x1 * y2,
+            x1 * y0 - x0 * y1, x2 * y0 - x0 * y2, x3 * y0 - x0 * y3,
+            x4 * y0 - x0 * y4, x1 * y4 - x4 * y1, x2 * y4 - x4 * y2, x3 * y4 - x4 * y3,
+            p * y0 + q * x0, p * y1 + q * x1, p * y2 + q * x2, p * y3 + q * x3,
+            p * y4 + q * x4]
+
+
+_ZEROS10 = (0.0,) * 10
+
+
 def _oplus_entries(g: GroupParams) -> list:
     """The 225 entries of oplus(g), row by row, as Python floats, from one
     build of D.
@@ -184,82 +201,21 @@ def _oplus_entries(g: GroupParams) -> list:
     G_A[i, j] B[i, i] = +1, which folds in the sign.  Row A of the
     translation block is (sum_b t_b F_b)[A, (P, Gs)] D, with t = (a, alpha)
     and F_b the adjoint matrices of P0..P3, Gs; that row of the sum is +-t
-    entries on A's support, so it reads p D[i, :] + q D[j, :].  The (P, Gs)
-    block is D.  Written out, as _b_residual is: loops, or a helper called
-    once per row, were slower.
+    entries on A's support, so it reads p D[j, :] + q D[i, :].  The (P, Gs)
+    block is D.  Ten unrolled calls of `_generator_row`, each with the
+    (i, j, p, q) of its generator: a loop over a table of them was slower.
     """
     x = g.xl
-    d00, d01, d02, d03, d04, d10, d11, d12, d13, d14, d20, d21, d22, d23, d24, \
-        d30, d31, d32, d33, d34, d40, d41, d42, d43, d44 = \
-        _xl_entries(x._omega, _lorentz_entries(x._u, x._theta))
+    d = _xl_entries(x._omega, _lorentz_entries(x._u, x._theta))
+    r0, r1, r2, r3, r4 = d[0:5], d[5:10], d[10:15], d[15:20], d[20:25]
     t0, t1, t2, t3 = g._a
     t4 = g.alpha
-    return [  # J1: rows (3, 2) of D
-            d33 * d22 - d32 * d23, d31 * d23 - d33 * d21, d32 * d21 - d31 * d22,
-            d31 * d20 - d30 * d21, d32 * d20 - d30 * d22, d33 * d20 - d30 * d23,
-            d34 * d20 - d30 * d24, d31 * d24 - d34 * d21, d32 * d24 - d34 * d22,
-            d33 * d24 - d34 * d23, t3 * d20 - t2 * d30, t3 * d21 - t2 * d31,
-            t3 * d22 - t2 * d32, t3 * d23 - t2 * d33, t3 * d24 - t2 * d34,
-            # J2: rows (1, 3) of D
-            d13 * d32 - d12 * d33, d11 * d33 - d13 * d31, d12 * d31 - d11 * d32,
-            d11 * d30 - d10 * d31, d12 * d30 - d10 * d32, d13 * d30 - d10 * d33,
-            d14 * d30 - d10 * d34, d11 * d34 - d14 * d31, d12 * d34 - d14 * d32,
-            d13 * d34 - d14 * d33, t1 * d30 - t3 * d10, t1 * d31 - t3 * d11,
-            t1 * d32 - t3 * d12, t1 * d33 - t3 * d13, t1 * d34 - t3 * d14,
-            # J3: rows (2, 1) of D
-            d23 * d12 - d22 * d13, d21 * d13 - d23 * d11, d22 * d11 - d21 * d12,
-            d21 * d10 - d20 * d11, d22 * d10 - d20 * d12, d23 * d10 - d20 * d13,
-            d24 * d10 - d20 * d14, d21 * d14 - d24 * d11, d22 * d14 - d24 * d12,
-            d23 * d14 - d24 * d13, t2 * d10 - t1 * d20, t2 * d11 - t1 * d21,
-            t2 * d12 - t1 * d22, t2 * d13 - t1 * d23, t2 * d14 - t1 * d24,
-            # K1: rows (1, 0) of D
-            d13 * d02 - d12 * d03, d11 * d03 - d13 * d01, d12 * d01 - d11 * d02,
-            d11 * d00 - d10 * d01, d12 * d00 - d10 * d02, d13 * d00 - d10 * d03,
-            d14 * d00 - d10 * d04, d11 * d04 - d14 * d01, d12 * d04 - d14 * d02,
-            d13 * d04 - d14 * d03, t1 * d00 + t0 * d10, t1 * d01 + t0 * d11,
-            t1 * d02 + t0 * d12, t1 * d03 + t0 * d13, t1 * d04 + t0 * d14,
-            # K2: rows (2, 0) of D
-            d23 * d02 - d22 * d03, d21 * d03 - d23 * d01, d22 * d01 - d21 * d02,
-            d21 * d00 - d20 * d01, d22 * d00 - d20 * d02, d23 * d00 - d20 * d03,
-            d24 * d00 - d20 * d04, d21 * d04 - d24 * d01, d22 * d04 - d24 * d02,
-            d23 * d04 - d24 * d03, t2 * d00 + t0 * d20, t2 * d01 + t0 * d21,
-            t2 * d02 + t0 * d22, t2 * d03 + t0 * d23, t2 * d04 + t0 * d24,
-            # K3: rows (3, 0) of D
-            d33 * d02 - d32 * d03, d31 * d03 - d33 * d01, d32 * d01 - d31 * d02,
-            d31 * d00 - d30 * d01, d32 * d00 - d30 * d02, d33 * d00 - d30 * d03,
-            d34 * d00 - d30 * d04, d31 * d04 - d34 * d01, d32 * d04 - d34 * d02,
-            d33 * d04 - d34 * d03, t3 * d00 + t0 * d30, t3 * d01 + t0 * d31,
-            t3 * d02 + t0 * d32, t3 * d03 + t0 * d33, t3 * d04 + t0 * d34,
-            # Gam0: rows (4, 0) of D
-            d43 * d02 - d42 * d03, d41 * d03 - d43 * d01, d42 * d01 - d41 * d02,
-            d41 * d00 - d40 * d01, d42 * d00 - d40 * d02, d43 * d00 - d40 * d03,
-            d44 * d00 - d40 * d04, d41 * d04 - d44 * d01, d42 * d04 - d44 * d02,
-            d43 * d04 - d44 * d03, t0 * d40 - t4 * d00, t0 * d41 - t4 * d01,
-            t0 * d42 - t4 * d02, t0 * d43 - t4 * d03, t0 * d44 - t4 * d04,
-            # Gam1: rows (1, 4) of D
-            d13 * d42 - d12 * d43, d11 * d43 - d13 * d41, d12 * d41 - d11 * d42,
-            d11 * d40 - d10 * d41, d12 * d40 - d10 * d42, d13 * d40 - d10 * d43,
-            d14 * d40 - d10 * d44, d11 * d44 - d14 * d41, d12 * d44 - d14 * d42,
-            d13 * d44 - d14 * d43, t4 * d10 + t1 * d40, t4 * d11 + t1 * d41,
-            t4 * d12 + t1 * d42, t4 * d13 + t1 * d43, t4 * d14 + t1 * d44,
-            # Gam2: rows (2, 4) of D
-            d23 * d42 - d22 * d43, d21 * d43 - d23 * d41, d22 * d41 - d21 * d42,
-            d21 * d40 - d20 * d41, d22 * d40 - d20 * d42, d23 * d40 - d20 * d43,
-            d24 * d40 - d20 * d44, d21 * d44 - d24 * d41, d22 * d44 - d24 * d42,
-            d23 * d44 - d24 * d43, t4 * d20 + t2 * d40, t4 * d21 + t2 * d41,
-            t4 * d22 + t2 * d42, t4 * d23 + t2 * d43, t4 * d24 + t2 * d44,
-            # Gam3: rows (3, 4) of D
-            d33 * d42 - d32 * d43, d31 * d43 - d33 * d41, d32 * d41 - d31 * d42,
-            d31 * d40 - d30 * d41, d32 * d40 - d30 * d42, d33 * d40 - d30 * d43,
-            d34 * d40 - d30 * d44, d31 * d44 - d34 * d41, d32 * d44 - d34 * d42,
-            d33 * d44 - d34 * d43, t4 * d30 + t3 * d40, t4 * d31 + t3 * d41,
-            t4 * d32 + t3 * d42, t4 * d33 + t3 * d43, t4 * d34 + t3 * d44,
-            # P0..P3, Gs: D
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d00, d01, d02, d03, d04,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d10, d11, d12, d13, d14,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d20, d21, d22, d23, d24,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d30, d31, d32, d33, d34,
-            0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, d40, d41, d42, d43, d44]
+    return [*_generator_row(r3, r2, t3, -t2), *_generator_row(r1, r3, t1, -t3),  # J1, J2
+            *_generator_row(r2, r1, t2, -t1), *_generator_row(r1, r0, t1, t0),   # J3, K1
+            *_generator_row(r2, r0, t2, t0), *_generator_row(r3, r0, t3, t0),    # K2, K3
+            *_generator_row(r4, r0, -t4, t0), *_generator_row(r1, r4, t1, t4),   # Gam0, Gam1
+            *_generator_row(r2, r4, t2, t4), *_generator_row(r3, r4, t3, t4),    # Gam2, Gam3
+            *_ZEROS10, *r0, *_ZEROS10, *r1, *_ZEROS10, *r2, *_ZEROS10, *r3, *_ZEROS10, *r4]
 
 
 def oplus(g: GroupParams) -> np.ndarray:

@@ -219,6 +219,14 @@ def test_table_and_report_are_plain_values():
     assert rep == jacobi_check() and rep != jacobi_check(table_from_json_obj(flipped))
 
 
+def test_generator_index_is_the_names_upper_cased():
+    import pickle
+    assert [m.name for m in G] == [n.upper() for n in GENERATOR_NAMES]
+    assert [m.value for m in G] == list(range(15))
+    assert repr(G.GAM2) == "<GeneratorIndex.GAM2: 8>"
+    assert pickle.loads(pickle.dumps(G.GAM2)) is G.GAM2
+
+
 def test_ad_matrix_p0_pattern():
     # Gam rows couple into the Gs column; K rows carry the boost action on P
     F = adjoint_of(basis(G.P0))

@@ -65,3 +65,30 @@ def test_matmul5_is_the_matrix_product():
     A, M = _symbols("a", 5), _symbols("m", 5)
     rows = [list(A.row(i)) for i in range(5)]
     _assert_identical(poincare._matmul5(rows, _entries(M)), _entries(A * M))
+
+
+def test_oplus_entries_are_the_adjoint_and_translation_rows(monkeypatch):
+    # D and t = (a, alpha) free; G_A[r, s] = f_{A, 10+r}^{10+s} from the
+    # integer table, so each row is checked against the structure constants,
+    # not against the supports and signs written into the kernel
+    from types import SimpleNamespace
+
+    from xpoincare.algebra import STRUCTURE_CONSTANTS
+    D = _symbols("d", 5)
+    t = sympy.Matrix(sympy.symbols("t:5"))
+    monkeypatch.setattr(poincare, "_xl_entries", lambda omega, lam: _entries(D))
+    xl = SimpleNamespace(_omega=(0.0,) * 4, _u=(0.0,) * 3, _theta=(0.0,) * 3)
+    got = poincare._oplus_entries(SimpleNamespace(_a=tuple(t[:4]), alpha=t[4], xl=xl))
+    G = [sympy.zeros(5, 5) for _ in range(10)]
+    for a, b, c, f in STRUCTURE_CONSTANTS.rows(both_orders=True):
+        if a < 10 <= b and c >= 10:
+            G[a][b - 10, c - 10] = f
+    B = sympy.diag(1, -1, -1, -1, 1)
+    want = []
+    for GA in G:
+        adjoint = B * D.T * B * GA * D
+        want += [sum(_entries(GC.multiply_elementwise(adjoint))) / 2 for GC in G]
+        want += _entries(-t.T * GA * D)
+    for r in range(5):
+        want += [0] * 10 + list(D.row(r))
+    _assert_identical(got, want)
