@@ -26,6 +26,7 @@ serialization run on those entries.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from enum import IntEnum
 
@@ -149,25 +150,9 @@ def commutator(x, y) -> np.ndarray:
     return np.einsum("a,b,abc->c", x, y, STRUCTURE_CONSTANTS.dense)
 
 
-class JacobiReport:
-    """Largest Jacobi defect, and one (a_name, b_name, c_name, worst_e_name,
-    value) tuple per violating triple."""
-
-    __slots__ = ("max_violation", "violations")
-
-    def __init__(self, max_violation: int, violations: list):
-        self.max_violation = max_violation
-        self.violations = violations
-
-    def __repr__(self):
-        return (f"JacobiReport(max_violation={self.max_violation!r}, "
-                f"violations={self.violations!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.max_violation, self.violations) == (other.max_violation,
-                                                         other.violations)
+JacobiReport = collections.namedtuple("JacobiReport", ("max_violation", "violations"))
+JacobiReport.__doc__ = """Largest Jacobi defect, and one (a_name, b_name, c_name, worst_e_name,
+value) tuple per violating triple."""
 
 
 def jacobi_check(table: StructureConstants | None = None) -> JacobiReport:

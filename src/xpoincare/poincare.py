@@ -51,6 +51,8 @@ class GroupParams(_Frozen):
         init = object.__setattr__
         init(self, "alpha", _float_entries("alpha", alpha, ())[0])
         init(self, "_a", _float_entries("a", a, (4,)))
+        if not isinstance(xl, XLParams):
+            raise ValueError(f"xl must be an XLParams, got {type(xl).__name__}")
         init(self, "xl", xl)
 
     def __repr__(self):
@@ -276,39 +278,36 @@ def theta_numeric(g: GroupParams) -> np.ndarray:
     return _ndarray(_theta_numeric(g), (15, 15))
 
 
-# theta_closed's entries free of g, row by row: NaN on the unclaimed 10x10
-# block, the identity on the (a, alpha) block, 0 elsewhere
-_THETA_FIXED = tuple(([math.nan] * 10 + [0.0] * 5) * 10
-                     + [float(c == r + 10) for r in range(5) for c in range(15)])
+_NAN10 = (math.nan,) * 10  # the unclaimed entries of a generator row
+# the (a, alpha) rows: 0 on the extended-Lorentz columns, then the identity
+_THETA_TAIL = tuple(float(c == r + 10) for r in range(5) for c in range(15))
 
 
 def theta_claimed_mask() -> np.ndarray:
     """True where theta_closed makes a claim (everything outside the 10x10
     extended-Lorentz block, whose entries have no closed form here)."""
-    return _ndarray([x == x for x in _THETA_FIXED], (15, 15), "bool")
+    return _ndarray([x == x for x in _theta_closed_entries(GroupParams())], (15, 15), "bool")
 
 
 def _theta_closed_entries(g: GroupParams) -> list:
     """The 225 entries of theta_closed(g), row by row, as Python floats."""
     a0, a1, a2, a3 = g._a
     al = g.alpha
-    t = list(_THETA_FIXED)
+    z = al * 0.0  # the zeros of alpha eta carry the sign of alpha
     # theta^j row, a^k col: eps_jkm a^m (finite-difference verified)
-    t[11:14] = (0.0, a3, -a2)
-    t[26:29] = (-a3, 0.0, a1)
-    t[41:44] = (a2, -a1, 0.0)
-    # u^j row: a^j in the a^0 col, a^0 in the a^j col
-    t[55:59] = (a1, a0, 0.0, 0.0)
-    t[70:74] = (a2, 0.0, a0, 0.0)
-    t[85:89] = (a3, 0.0, 0.0, a0)
-    # omega_b row: alpha eta^{mb} in the a^m cols, a^b in the alpha col; the
-    # zeros of alpha eta carry the sign of alpha
-    z = al * 0.0
-    t[100:105] = (-al, z, z, z, a0)
-    t[115:120] = (z, al, z, z, a1)
-    t[130:135] = (z, z, al, z, a2)
-    t[145:150] = (z, z, z, al, a3)
-    return t
+    return [*_NAN10, 0.0, 0.0, a3, -a2, 0.0,  # J1
+            *_NAN10, 0.0, -a3, 0.0, a1, 0.0,  # J2
+            *_NAN10, 0.0, a2, -a1, 0.0, 0.0,  # J3
+            # u^j row: a^j in the a^0 col, a^0 in the a^j col
+            *_NAN10, a1, a0, 0.0, 0.0, 0.0,   # K1
+            *_NAN10, a2, 0.0, a0, 0.0, 0.0,   # K2
+            *_NAN10, a3, 0.0, 0.0, a0, 0.0,   # K3
+            # omega_b row: alpha eta^{mb} in the a^m cols, a^b in the alpha col
+            *_NAN10, -al, z, z, z, a0,        # Gam0
+            *_NAN10, z, al, z, z, a1,         # Gam1
+            *_NAN10, z, z, al, z, a2,         # Gam2
+            *_NAN10, z, z, z, al, a3,         # Gam3
+            *_THETA_TAIL]
 
 
 def theta_closed(g: GroupParams) -> np.ndarray:

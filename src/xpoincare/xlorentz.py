@@ -169,7 +169,7 @@ def _dirac_strip(omega, d) -> list:
     E[:4, :] = M[:4, :] + w p^T and E[4, :] = s y + (1 + h q) M[4, :].
     Equal to xl_matrix(XLParams(-omega)) @ M up to rounding."""
     w0, w1, w2, w3 = omega
-    q, s, h = _dirac_coefficients(-w0, -w1, -w2, -w3)
+    q, s, h = _dirac_coefficients(w0, w1, w2, w3)  # q, s and h are even in omega
     m00, m01, m02, m03, m04, m10, m11, m12, m13, m14, m20, m21, m22, m23, m24, \
         m30, m31, m32, m33, m34, m40, m41, m42, m43, m44 = d
     y0 = w1 * m10 + w2 * m20 + w3 * m30 - w0 * m00

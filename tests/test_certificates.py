@@ -67,22 +67,35 @@ def test_matmul5_is_the_matrix_product():
     _assert_identical(poincare._matmul5(rows, _entries(M)), _entries(A * M))
 
 
-def test_oplus_entries_are_the_adjoint_and_translation_rows(monkeypatch):
-    # D and t = (a, alpha) free; G_A[r, s] = f_{A, 10+r}^{10+s} from the
-    # integer table, so each row is checked against the structure constants,
-    # not against the supports and signs written into the kernel
-    from types import SimpleNamespace
-
+def _generator_blocks():
+    """G_A[r, s] = f_{A, 10+r}^{10+s} for the ten extended-Lorentz generators
+    A, from the integer table: the references below are checked against the
+    structure constants, not against the supports and signs written into
+    the kernels."""
     from xpoincare.algebra import STRUCTURE_CONSTANTS
-    D = _symbols("d", 5)
-    t = sympy.Matrix(sympy.symbols("t:5"))
-    monkeypatch.setattr(poincare, "_xl_entries", lambda omega, lam: _entries(D))
-    xl = SimpleNamespace(_omega=(0.0,) * 4, _u=(0.0,) * 3, _theta=(0.0,) * 3)
-    got = poincare._oplus_entries(SimpleNamespace(_a=tuple(t[:4]), alpha=t[4], xl=xl))
     G = [sympy.zeros(5, 5) for _ in range(10)]
     for a, b, c, f in STRUCTURE_CONSTANTS.rows(both_orders=True):
         if a < 10 <= b and c >= 10:
             G[a][b - 10, c - 10] = f
+    return G
+
+
+def _stand_in(t, xl=None):
+    """An element with translation 5-vector t = (a, alpha) and extended-
+    Lorentz part xl, for a kernel that reads only those fields."""
+    from types import SimpleNamespace
+    return SimpleNamespace(_a=tuple(t[:4]), alpha=t[4], xl=xl)
+
+
+def test_oplus_entries_are_the_adjoint_and_translation_rows(monkeypatch):
+    # D and t = (a, alpha) free
+    from types import SimpleNamespace
+    D = _symbols("d", 5)
+    t = sympy.Matrix(sympy.symbols("t:5"))
+    monkeypatch.setattr(poincare, "_xl_entries", lambda omega, lam: _entries(D))
+    xl = SimpleNamespace(_omega=(0.0,) * 4, _u=(0.0,) * 3, _theta=(0.0,) * 3)
+    got = poincare._oplus_entries(_stand_in(t, xl))
+    G = _generator_blocks()
     B = sympy.diag(1, -1, -1, -1, 1)
     want = []
     for GA in G:
@@ -92,3 +105,50 @@ def test_oplus_entries_are_the_adjoint_and_translation_rows(monkeypatch):
     for r in range(5):
         want += [0] * 10 + list(D.row(r))
     _assert_identical(got, want)
+
+
+def test_theta_closed_entries_are_the_translation_rows():
+    # t = (a, alpha) free: row A is NaN on the 10x10 block and -t^T G_A on
+    # the (P, Gs) columns; the (P, Gs) rows are (0, I)
+    import math
+    t = sympy.Matrix(sympy.symbols("t:5"))
+    got = poincare._theta_closed_entries(_stand_in(t))
+    assert len(got) == 225
+    claimed, want = [], []
+    for A, GA in enumerate(_generator_blocks()):
+        row = got[15 * A:15 * A + 15]
+        assert all(isinstance(x, float) and math.isnan(x) for x in row[:10]), A
+        claimed += row[10:]
+        want += _entries(-t.T * GA)
+    for r in range(5):
+        claimed += got[150 + 15 * r:165 + 15 * r]
+        want += [0] * 10 + [int(r == s) for s in range(5)]
+    _assert_identical(claimed, want)
+
+
+@pytest.fixture
+def dirac(monkeypatch):
+    """w free, g = sum_k w_k G_{Gam_k}, and the kernels' s(q) and h(q)
+    patched to the free symbols S and H, so that the W(w) = 1 + S g + H g^2
+    each kernel builds is checked with its own q, and with no relation
+    between S and H."""
+    S, H = sympy.symbols("S H")
+    monkeypatch.setattr(xlorentz, "trig_s", lambda q: S)
+    monkeypatch.setattr(xlorentz, "trig_h", lambda q: H)
+    w = sympy.symbols("w:4")
+    g = sum((wk * G for wk, G in zip(w, _generator_blocks()[6:])), sympy.zeros(5, 5))
+    return w, g, S, H
+
+
+def test_xl_entries_are_the_dirac_boost_times_lambda(dirac):
+    w, g, S, H = dirac
+    L = _symbols("l", 4)
+    want = (sympy.eye(5) + S * g + H * g * g) * sympy.diag(L, 1)
+    _assert_identical(xlorentz._xl_entries(w, _entries(L)), _entries(want))
+
+
+def test_dirac_strip_is_the_inverse_dirac_boost_times_m(dirac):
+    w, g, S, H = dirac
+    M = _symbols("m", 5)
+    want = (sympy.eye(5) - S * g + H * g * g) * M
+    _assert_identical(xlorentz._dirac_strip(w, _entries(M)), _entries(want))

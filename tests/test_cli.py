@@ -262,6 +262,29 @@ def test_theta_command(tmp_path):
     assert rows[14][14] == 1.0
 
 
+def test_theta_closed_csv(tmp_path):
+    # an unclaimed entry prints as an empty cell, a claimed one as its
+    # 17-digit float with -0.0 as 0; a negative alpha gives signed zeros
+    from xpoincare.algebra import GENERATOR_NAMES
+    from xpoincare.poincare import theta_claimed_mask, theta_closed
+    g = checks.sample_params(np.random.default_rng(35))
+    g = GroupParams(alpha=-abs(g.alpha), a=g.a, xl=g.xl)
+    f = write_json(tmp_path / "e.json", element_doc(g))
+    r = run_cli(["theta", f, "--closed", "--csv", "--labels"])
+    assert r.returncode == 0
+    lines = r.stdout.splitlines()
+    assert len(lines) == 16
+    assert lines[0].split(",") == ["", *GENERATOR_NAMES]
+    tc, mask = theta_closed(g), theta_claimed_mask()
+    for i, line in enumerate(lines[1:]):
+        name, *cells = line.split(",")
+        assert name == GENERATOR_NAMES[i] and len(cells) == 15
+        if i < 10:
+            assert cells[:10] == [""] * 10
+        assert [c for c, m in zip(cells, mask[i]) if m] == \
+            [format(float(x) + 0.0, ".17g") for x in tc[i][mask[i]]]
+
+
 def test_decompose_command(tmp_path):
     w = xl_matrix(XLParams(omega=[0.3, 0.2, 0.0, 0.1]))
     f = write_json(tmp_path / "m.json", {"matrix": [[float(x) for x in r] for r in w]})

@@ -353,7 +353,8 @@ def test_theta_closed_matches_array_formulas():
 
 @pytest.mark.parametrize("kwargs", [
     {"a": [np.nan, 0.0, 0.0, 0.0]}, {"a": [0.0, 0.0, np.inf, 0.0]},
-    {"alpha": np.nan}, {"alpha": -np.inf}, {"a": np.zeros(3)}, {"a": np.zeros((2, 2))}])
+    {"alpha": np.nan}, {"alpha": -np.inf}, {"a": np.zeros(3)}, {"a": np.zeros((2, 2))},
+    {"xl": "nope"}])
 def test_group_params_rejects_non_finite_and_wrong_shape(kwargs):
     with pytest.raises(ValueError):
         GroupParams(**kwargs)
