@@ -37,8 +37,6 @@ GeneratorIndex = IntEnum("GeneratorIndex", [(n.upper(), i) for i, n in enumerate
                          module=__name__)
 GeneratorIndex.__doc__ = "The 15 basis generators in frozen canonical order."
 
-_NAME_TO_ORDINAL = {n: i for i, n in enumerate(GENERATOR_NAMES)}
-
 # Minkowski metric, mostly-plus.  Normative for the whole package.
 _ETA_DIAG = (-1, 1, 1, 1)
 
@@ -56,9 +54,12 @@ class StructureConstants(_Frozen):
     __slots__ = ("_rows", "_dense")
 
     def __init__(self, rows):
-        """`rows`: (a, b, c, f) ordinal tuples, both orders of each pair, as
-        `rows(both_orders=True)` lists them; zero values are dropped."""
-        object.__setattr__(self, "_rows", tuple(sorted(r for r in rows if r[3])))
+        """`rows`: (a, b, c, f) ordinal tuples, each pair in one order or in
+        both.  A missing partner (b, a, c, -f) is implied, a listed one is
+        kept as listed, and zero values are dropped."""
+        listed = {(a, b, c): v for a, b, c, v in rows}
+        f = {(b, a, c): -v for (a, b, c), v in listed.items()} | listed
+        object.__setattr__(self, "_rows", tuple(sorted(k + (v,) for k, v in f.items() if v)))
         object.__setattr__(self, "_dense", None)
 
     @property
@@ -87,40 +88,27 @@ class StructureConstants(_Frozen):
         return [r for r in self._rows if both_orders or r[0] < r[1]]
 
 
-def _build_rows() -> list:
-    f = {}
-
-    def add(a, b, c, val):
-        f[a, b, c] = f.get((a, b, c), 0) + val
-        f[b, a, c] = f.get((b, a, c), 0) - val
-
+def _build_rows():
+    """Each bracket [X_a, X_b] = i f X_c once, as (a, b, c, f)."""
     J, K, GAM, P, GS = 0, 3, 6, 10, 14
-    for j in range(3):
-        for k in range(j + 1, 3):
-            for m in range(3):
-                e = _eps3(j, k, m)
-                if e:
-                    add(J + j, J + k, J + m, e)            # [Jj, Jk] = i eps Jm
-                    add(K + j, K + k, J + m, -e)           # [Kj, Kk] = -i eps Jm
-                    add(GAM + 1 + j, GAM + 1 + k, J + m, -e)  # [Gj, Gk] = -i eps Jm
-    for j in range(3):
-        for k in range(3):
-            for m in range(3):
-                e = _eps3(j, k, m)
-                if e:
-                    add(J + j, K + k, K + m, e)            # [Jj, Kk] = i eps Km
-                    add(GAM + 1 + j, J + k, GAM + 1 + m, e)  # [Gj, Jk] = i eps Gm
-                    add(J + j, P + 1 + k, P + 1 + m, e)    # [Jj, Pk] = i eps Pm
+    for j, k, m in itertools.permutations(range(3)):  # eps is +-1 on exactly these
+        e = _eps3(j, k, m)
+        if j < k:
+            yield J + j, J + k, J + m, e                  # [Jj, Jk] = i eps Jm
+            yield K + j, K + k, J + m, -e                 # [Kj, Kk] = -i eps Jm
+            yield GAM + 1 + j, GAM + 1 + k, J + m, -e     # [Gj, Gk] = -i eps Jm
+        yield J + j, K + k, K + m, e                      # [Jj, Kk] = i eps Km
+        yield GAM + 1 + j, J + k, GAM + 1 + m, e          # [Gj, Jk] = i eps Gm
+        yield J + j, P + 1 + k, P + 1 + m, e              # [Jj, Pk] = i eps Pm
     for k in range(1, 4):
-        add(GAM, GAM + k, K + k - 1, 1)     # [G0, Gk] = i Kk
-        add(GAM, K + k - 1, GAM + k, -1)    # [G0, Kk] = -i Gk
-        add(GAM + k, K + k - 1, GAM, -1)    # [Gj, Kk] = -i d_jk G0
-        add(K + k - 1, P, P + k, -1)        # [Kj, P0] = -i Pj
-        add(K + k - 1, P + k, P, -1)        # [Kj, Pk] = -i d_jk P0
+        yield GAM, GAM + k, K + k - 1, 1     # [G0, Gk] = i Kk
+        yield GAM, K + k - 1, GAM + k, -1    # [G0, Kk] = -i Gk
+        yield GAM + k, K + k - 1, GAM, -1    # [Gj, Kk] = -i d_jk G0
+        yield K + k - 1, P, P + k, -1        # [Kj, P0] = -i Pj
+        yield K + k - 1, P + k, P, -1        # [Kj, Pk] = -i d_jk P0
     for mu in range(4):
-        add(GAM + mu, P + mu, GS, -1)                       # [Gmu, Pnu] = -i d Gs
-        add(GAM + mu, GS, P + mu, -_ETA_DIAG[mu])           # [Gmu, Gs] = -i eta Pnu
-    return [(a, b, c, v) for (a, b, c), v in f.items()]
+        yield GAM + mu, P + mu, GS, -1                      # [Gmu, Pnu] = -i d Gs
+        yield GAM + mu, GS, P + mu, -_ETA_DIAG[mu]          # [Gmu, Gs] = -i eta Pnu
 
 
 STRUCTURE_CONSTANTS = StructureConstants(_build_rows())
@@ -278,9 +266,9 @@ def table_to_json_obj(both_orders: bool = False) -> dict:
 
 def _ordinal(row: dict, key: str) -> int:
     name = row.get(key)
-    if not isinstance(name, str) or name not in _NAME_TO_ORDINAL:
+    if not isinstance(name, str) or name not in GENERATOR_NAMES:
         raise ValueError(f"unknown generator {name!r} in '{key}' of entry {row}")
-    return _NAME_TO_ORDINAL[name]
+    return GENERATOR_NAMES.index(name)
 
 
 def table_from_json_obj(obj) -> StructureConstants:
@@ -294,7 +282,7 @@ def table_from_json_obj(obj) -> StructureConstants:
     if not isinstance(entries, list):
         raise ValueError("structure-constant table must be an object "
                          "with an 'entries' list")
-    f = {}
+    rows = []
     for row in entries:
         if not isinstance(row, dict):
             raise ValueError(f"entry {row!r} is not an object")
@@ -304,7 +292,5 @@ def table_from_json_obj(obj) -> StructureConstants:
             raise ValueError(f"structure constant must be the integer -1 or +1: {row}")
         if a == b:
             raise ValueError(f"diagonal entry not allowed: {row}")
-        f[a, b, c] = v
-    for (a, b, c), v in list(f.items()):  # a listed partner is kept as listed
-        f.setdefault((b, a, c), -v)
-    return StructureConstants((a, b, c, v) for (a, b, c), v in f.items())
+        rows.append((a, b, c, v))
+    return StructureConstants(rows)

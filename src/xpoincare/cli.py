@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 
 from ._names import GENERATOR_NAMES, SUITE_NAMES, _float_entries
@@ -77,10 +76,10 @@ def canonical_json(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, numbers.Integral):  # int and numpy's integers
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, numbers.Real):  # float and numpy's floats
-        return _fmt_float(float(obj))
+    if isinstance(obj, float):
+        return _fmt_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)}")

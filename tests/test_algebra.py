@@ -263,6 +263,15 @@ def test_package_import_does_not_load_scipy():
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
+def test_cli_import_does_not_load_numbers():
+    # the JSON writer reads Python ints and floats only; -S keeps site's own
+    # imports out of the count, so the package path is given explicitly
+    path = os.path.dirname(os.path.dirname(xpoincare.__file__))
+    code = (f"import sys; sys.path.insert(0, {path!r}); import xpoincare.cli; "
+            "assert 'numbers' not in sys.modules")
+    assert subprocess.run([sys.executable, "-S", "-c", code]).returncode == 0
+
+
 # Runs each command through cli.main in one fresh process and records, per
 # command, (exit code, stdout, stderr, whether numpy is loaded afterwards).
 _CLI_RUNNER = """

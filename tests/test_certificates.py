@@ -152,3 +152,57 @@ def test_dirac_strip_is_the_inverse_dirac_boost_times_m(dirac):
     M = _symbols("m", 5)
     want = (sympy.eye(5) - S * g + H * g * g) * M
     _assert_identical(xlorentz._dirac_strip(w, _entries(M)), _entries(want))
+
+
+@pytest.fixture
+def lorentz_symbols(monkeypatch):
+    """The kernels' s(q) and h(q) patched to the free symbols S and H, and
+    the module's `math` to a stand-in whose sqrt records its argument and
+    returns the free symbol U0 (u0 = sqrt(1 + |u|^2)), and whose inf is oo."""
+    from types import SimpleNamespace
+    S, H, U0 = sympy.symbols("S H U0")
+    roots = []
+
+    def sqrt(x):
+        roots.append(x)
+        return U0
+
+    monkeypatch.setattr(lorentz, "trig_s", lambda q: S)
+    monkeypatch.setattr(lorentz, "trig_h", lambda q: H)
+    monkeypatch.setattr(lorentz, "math", SimpleNamespace(sqrt=sqrt, inf=sympy.oo))
+    return S, H, U0, roots
+
+
+def _assert_identical_given_u0(got, want, U0, u, roots):
+    """got and want agree as rational functions once U0^2 = 1 + |u|^2, the
+    one square root the kernel took: each numerator of got - want is reduced
+    modulo U0^2 - 1 - |u|^2."""
+    norm2 = sum(x * x for x in u)
+    assert len(roots) == 1 and sympy.expand(roots[0] - 1 - norm2).is_zero, roots
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        numerator = sympy.expand(sympy.numer(sympy.together(g - w)))
+        assert sympy.rem(numerator, U0 ** 2 - 1 - norm2, U0).is_zero, f"term {k}: {g} != {w}"
+
+
+def _boost_generator(u):
+    """U = sum u_m G_{K_m} on the (P0..P3) block."""
+    return sum((um * G[:4, :4] for um, G in zip(u, _generator_blocks()[3:6])), sympy.zeros(4, 4))
+
+
+def test_lorentz_entries_are_the_boost_times_the_rotation(lorentz_symbols):
+    S, H, U0, roots = lorentz_symbols
+    u, th = sympy.symbols("u:3"), sympy.symbols("th:3")
+    A = sum((t * G[:4, :4] for t, G in zip(th, _generator_blocks()[0:3])), sympy.zeros(4, 4))
+    U = _boost_generator(u)
+    want = (sympy.eye(4) + U + U * U / (1 + U0)) * (sympy.eye(4) + S * A + H * A * A)
+    _assert_identical_given_u0(lorentz._lorentz_entries(u, th), _entries(want), U0, u, roots)
+
+
+def test_boost_strip_is_the_inverse_boost_times_m(lorentz_symbols):
+    _, _, U0, roots = lorentz_symbols
+    M = _symbols("m", 4)
+    u = [-x for x in M[1:, 0]]
+    U = _boost_generator(u)
+    want = (sympy.eye(4) - U + U * U / (1 + U0)) * M
+    _assert_identical_given_u0(lorentz._boost_strip(_entries(M)), _entries(want), U0, u, roots)

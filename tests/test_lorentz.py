@@ -358,6 +358,31 @@ def test_decompose_accepts_large_boosts():
             lorentz_decompose(M @ np.diag([1.0, 1.0, -1.0, 1.0]))
 
 
+def test_strip_backstop_far_side():
+    # a Lambda that passes the metric gate and fails the 1e-7 coupling
+    # backstop after the boost strip (|u| = 3.2e4), pinned bit for bit so
+    # that the libm sin of lorentz_matrix does not enter; the near side is
+    # every accepted decomposition above
+    u = [float.fromhex(x) for x in ("0x1.9162e5e2e52eap+11", "0x1.f24d0d5fc5003p+14",
+                                    "-0x1.6046f0a5a77e7p+10")]
+    theta = [float.fromhex(x) for x in ("0x1.e288b9b6d25bfp-1", "0x1.a05e1eb64b8e5p+0",
+                                        "0x1.71fd0e1e80cc0p+0")]
+    M = np.array([[float.fromhex(x) for x in row] for row in (
+        ("0x1.f54de61bb4d80p+14", "0x1.442d2ef1a6005p+10",
+         "-0x1.40c36b1f63372p+12", "-0x1.ee6f16302e619p+14"),
+        ("-0x1.9162e5e2e52eap+11", "-0x1.047284eb75d68p+7",
+         "0x1.0144ba60821aap+9", "0x1.8bdd83d81e2fbp+11"),
+        ("-0x1.f24d0d5fc5003p+14", "-0x1.42369fcbc49bep+10",
+         "0x1.3ed65ee164798p+12", "0x1.eb78d5db4816dp+14"),
+        ("0x1.6046f0a5a77e7p+10", "0x1.cebf7247cf7e0p+5",
+         "-0x1.c1eaf01c59280p+7", "-0x1.5b754cb603685p+10"))])
+    np.testing.assert_allclose(M, lorentz_matrix(u, theta), rtol=1e-12, atol=1e-8)  # its source
+    assert metric_residual(M) < METRIC_TOL  # 7.45e-9
+    with pytest.raises(DecompositionError,
+                       match=r"^boost stripping left time-space coupling 1\.160e-07$"):
+        lorentz_decompose(M)
+
+
 @pytest.mark.parametrize("M", [np.full((4, 4), np.nan), np.diag([np.nan, 1.0, 1.0, 1.0]),
                                np.diag([1.0, 1.0, 1.0, np.inf])],
                          ids=["all-nan", "m00-nan", "m33-inf"])

@@ -668,8 +668,8 @@ def _minor_tables():
 
 
 def test_oplus_matches_minor_tables_bit_for_bit():
-    # the written-out minors and the (P, Gs) block against an independent
-    # route to the same products: table lookups into outer(D, D)
+    # the minors of the ten `_generator_row` calls and the (P, Gs) block against an
+    # independent route to the same products: table lookups into outer(D, D)
     plus, minus = _minor_tables()
     for g in _closed_form_draws():
         d, o = xl_matrix(g.xl), oplus(g)
