@@ -15,7 +15,9 @@ of an ndarray, and each crossing is one of the helpers below:
   argument, into a shape-checked tuple of floats by the one rule for a
   number (a real number that is not a bool), in one walk, `_read`, of at
   most two list levels over numbers and numpy arrays; `_float_entries` is
-  that read of a parameter, whose entries must also be finite;
+  that read of a parameter, whose entries must also be finite, with a fast
+  path for what the float core makes (a finite float, or a list or tuple of
+  exact floats with a finite sum) that gives the same result;
 - `_ndarray` packs a flat list into a fresh, writable array, with one
   `struct.Struct` and dtype kept per size and dtype (`_layout`);
 - `_array_field` shows a float tuple as a read-only ndarray field;
@@ -146,8 +148,25 @@ def _real_entries(name: str, value, shape: tuple, error=ValueError) -> tuple:
         raise error(f"{name} must be finite") from None
 
 
+_FLOAT = frozenset((float,))
+
+
 def _float_entries(name: str, value, shape: tuple) -> tuple:
-    """`_real_entries` of a parameter value, which must also be finite."""
+    """`_real_entries` of a parameter value, which must also be finite.
+
+    The values the float core makes take a fast path with the same result:
+    a float with `value - value == 0.0` (only a finite one has it) for shape
+    `()`, and a list or tuple of a 1-D shape's length whose entries are
+    exactly floats and whose sum is finite (a NaN or an infinity makes the
+    sum non-finite).  Everything else takes the full read: ints, bools,
+    numpy numbers, subclasses, a sum that overflows, and every rejection."""
+    kind = type(value)
+    if kind is float:
+        if value - value == 0.0 and not shape:
+            return (value,)
+    elif ((kind is list or kind is tuple) and len(shape) == 1 and len(value) == shape[0]
+          and _FLOAT.issuperset(map(type, value)) and math.isfinite(sum(value))):
+        return tuple(value)
     v = _real_entries(name, value, shape)
     if not all(map(math.isfinite, v)):
         raise ValueError(f"{name} must be finite")

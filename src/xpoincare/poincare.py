@@ -125,10 +125,18 @@ def compose(g2: GroupParams, g1: GroupParams) -> GroupParams:
 
 def _matmul5(rows, d) -> list:
     """The 25 entries of the 5x5 product A M, row by row, from the rows of A
-    and the entries d of M, row by row."""
-    cols = (d[0::5], d[1::5], d[2::5], d[3::5], d[4::5])
-    return [a0 * b0 + a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4
-            for a0, a1, a2, a3, a4 in rows for b0, b1, b2, b3, b4 in cols]
+    and the entries d of M, row by row.  Written out per column: a nested
+    comprehension over rows and column slices ran 40% more bytecodes."""
+    (m00, m01, m02, m03, m04, m10, m11, m12, m13, m14, m20, m21, m22, m23, m24,
+     m30, m31, m32, m33, m34, m40, m41, m42, m43, m44) = d
+    e = []
+    for a0, a1, a2, a3, a4 in rows:
+        e += [a0 * m00 + a1 * m10 + a2 * m20 + a3 * m30 + a4 * m40,
+              a0 * m01 + a1 * m11 + a2 * m21 + a3 * m31 + a4 * m41,
+              a0 * m02 + a1 * m12 + a2 * m22 + a3 * m32 + a4 * m42,
+              a0 * m03 + a1 * m13 + a2 * m23 + a3 * m33 + a4 * m43,
+              a0 * m04 + a1 * m14 + a2 * m24 + a3 * m34 + a4 * m44]
+    return e
 
 
 def compose_via_affine(g2: GroupParams, g1: GroupParams) -> GroupParams:
@@ -161,12 +169,18 @@ def inverse(g: GroupParams) -> GroupParams:
     c = h * wt - s * g.alpha
     p0, p1, p2, p3 = t0 - w0 * c, t1 + w1 * c, t2 + w2 * c, t3 + w3 * c  # (W^T t)_P
     theta = g.xl._theta
-    lam = _lorentz_entries(g.xl._u, theta)
-    cols = [lam[j::4] for j in range(4)]
-    a = [-(l0 * p0 + l1 * p1 + l2 * p2 + l3 * p3) for l0, l1, l2, l3 in cols]
+    (l00, l01, l02, l03, l10, l11, l12, l13,
+     l20, l21, l22, l23, l30, l31, l32, l33) = _lorentz_entries(g.xl._u, theta)
+    a = [-(l00 * p0 + l10 * p1 + l20 * p2 + l30 * p3),  # -(Lambda^T p)
+         -(l01 * p0 + l11 * p1 + l21 * p2 + l31 * p3),
+         -(l02 * p0 + l12 * p1 + l22 * p2 + l32 * p3),
+         -(l03 * p0 + l13 * p1 + l23 * p2 + l33 * p3)]
     # z = Lambda^T sigma w, so omega' = -sigma z
-    z = [l1 * w1 + l2 * w2 + l3 * w3 - l0 * w0 for l0, l1, l2, l3 in cols]
-    xl = XLParams([z[0], -z[1], -z[2], -z[3]], lam[1:4], [-x for x in theta])
+    omega = [l10 * w1 + l20 * w2 + l30 * w3 - l00 * w0,
+             -(l11 * w1 + l21 * w2 + l31 * w3 - l01 * w0),
+             -(l12 * w1 + l22 * w2 + l32 * w3 - l02 * w0),
+             -(l13 * w1 + l23 * w2 + l33 * w3 - l03 * w0)]
+    xl = XLParams(omega, (l01, l02, l03), [-x for x in theta])
     return GroupParams(alpha=s * wt - (1.0 + h * q) * g.alpha, a=a, xl=xl)
 
 

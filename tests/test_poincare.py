@@ -2,15 +2,17 @@ import dataclasses
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from xpoincare import _names
 from xpoincare.algebra import (STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, exp_ad,
                                invariance_residual)
 from xpoincare.checks import sample_params
 from xpoincare.lorentz import DecompositionError, lorentz_decompose, lorentz_matrix
-from xpoincare.poincare import (GroupParams, _translation, compose,
+from xpoincare.poincare import (GroupParams, _translation, _vector, compose,
                                 compose_via_affine, inverse, oplus,
                                 oplus_pure_factor_vector, params_to_vector,
                                 theta_claimed_mask, theta_closed, theta_numeric,
@@ -177,6 +179,67 @@ def test_inverse_two_sided():
         gi = inverse(g)
         assert aff_dist(compose(gi, g), e) < 1e-8
         assert aff_dist(compose(g, gi), e) < 1e-8
+
+
+# The bits of `_vector(compose(g, h))`, h the element before g in the list,
+# and of `_vector(inverse(g))` on five seeded elements, three narrow and two
+# wide.  The float kernels fix the order of every sum, so a sum written in
+# another order changes last bits here: seed 94 was picked as the first that
+# catches every rotation of the terms of each sum of `_matmul5` and `inverse`
+# (and all but two of their 766 reorderings that are not a swap of the first
+# two terms, which IEEE addition leaves exact).
+_COMPOSE_BITS = [
+    ("0x1.c7c926f1f200cp-1 -0x1.38f36abeb0ec5p-1 -0x1.dcb1bb70853eep-4 -0x1.e8911780632a8p-1 "
+     "0x1.674562d8fb900p-4 -0x1.a90f67131efa8p+0 0x1.91a9ae6c195e2p-1 0x1.dfbf36857146ep-2 "
+     "0x1.f31a6dca14cfep-2 0x1.1c7075ec77bc6p-2 0x1.78a07c1bdeff8p+1 -0x1.c19e3a7bc74cep+1 "
+     "-0x1.f8ad9c715a638p-5 -0x1.eba523ebc34bap+0 0x1.efc5a203042d9p+1"),
+    ("0x1.4f98dd6086c00p-1 0x1.acea77f0c3598p-1 0x1.ff77da28ce725p-3 0x1.bd9fbd665ff0ep-2 "
+     "-0x1.775fe4f704190p-2 -0x1.249b3b5068a7ap-4 -0x1.46bad6c63cb67p-2 0x1.b95a2e4f427bap-2 "
+     "-0x1.372d6f67c5c2ap-1 0x1.1f5c115d6182cp-3 -0x1.2d6ccddd23cf0p+0 0x1.7f45b9a58f43bp+1 "
+     "-0x1.35ba0cfdae1adp-1 -0x1.00561a7f0430dp+1 0x1.02e54bf542660p-2"),
+    ("0x1.d926ef907a12fp-5 0x1.23120e9be05c6p+0 -0x1.64f07712e6166p-3 0x1.0328b77c9e9dcp+0 "
+     "-0x1.689c85ba2cd8cp-1 0x1.cbe43b88d2ad6p-2 -0x1.d8d68cb6c652cp-4 -0x1.97a739dad36e4p-3 "
+     "-0x1.f0049c5d44e1bp-3 0x1.b9ca769798fbfp-7 -0x1.3d5c50c60534ep+0 0x1.11cab28e88c42p+2 "
+     "0x1.5a56d77bebbcep+1 0x1.946931962f1c0p-3 -0x1.2f3c54f37ff7ep+1"),
+    ("-0x1.0179ee6b24c96p-4 0x1.d542da1303af9p-1 0x1.e9ec33c6353e6p-5 -0x1.23398f756fa60p-2 "
+     "-0x1.71a5696be333bp-2 0x1.0ad5c29697dc4p+1 -0x1.b2d232ef96626p-2 0x1.f6bbe871a3737p-1 "
+     "0x1.5f6e61bc737aap-2 -0x1.c5b8be30ed4d0p-2 0x1.3a15f766f65e8p+1 -0x1.9c960dabe4a16p+2 "
+     "-0x1.c67d0d1bf3782p-3 0x1.a7660f24543cbp+1 -0x1.754604069c5ecp+2"),
+    ("0x1.3e8502f979b2bp-7 0x1.10398d337551cp+0 -0x1.7bc56685ffc06p-3 -0x1.fb4213fd9abc8p-2 "
+     "0x1.b1e7053d2accfp-1 0x1.27b968904bc59p-3 -0x1.1c9baa57941bfp-3 0x1.8ba0ad5995e70p-1 "
+     "0x1.aeec4bbc0f0fap-1 -0x1.24bbe8973fd51p-1 0x1.2f0358e815b32p+1 -0x1.38c920ec928efp+2 "
+     "-0x1.06ffff932b44dp-1 -0x1.219c0e7adbd40p+2 0x1.826764f5d182dp+0"),
+]
+_INVERSE_BITS = [
+    ("-0x1.145c0f8541c74p-2 0x1.8d68ec4cb0c8cp-2 0x1.8e0ba712eb2b2p-4 0x1.575df867c5532p-3 "
+     "-0x1.05bf18aa59956p-3 0x1.d77d5837f1a58p-3 0x1.e796cb32304bcp-4 -0x1.cd520cf8bf0f7p-2 "
+     "0x1.5e048444a24b4p-4 0x1.88f169a7cbd14p-3 -0x1.060254377c977p-1 0x1.30236de1ed109p+1 "
+     "-0x1.03b1bc24a2a0cp-1 -0x1.88625cdeaf80dp-1 -0x1.84d347db6bbb2p+1"),
+    ("-0x1.7b3762765a467p-2 -0x1.3bd7224d84e6ep+0 -0x1.597df13fe21b0p-7 -0x1.197020cb89d2cp-2 "
+     "0x1.3ca617164367cp-2 0x1.81f3529bd5e48p-2 -0x1.bce5f1c9f38cep-4 0x1.75f392894bb7dp-3 "
+     "0x1.61b9de19a9468p-2 0x1.1d78339fe4e7dp-3 0x1.9e6ca6e0e6fc8p+1 -0x1.a6b72cea7c395p-1 "
+     "0x1.dd98d8d76ead4p-3 0x1.2566c4b3d3aadp+2 0x1.12d983d70ef9ap+1"),
+    ("0x1.5bd93126fb244p-3 0x1.352ebaf08ec70p-3 0x1.86796978f0503p-2 -0x1.907b94ce1665ap-3 "
+     "0x1.a0bb4ddec07fbp-2 -0x1.89076f58c925ep-2 0x1.13c57b715ba4bp-3 0x1.0bf9ecd37c4b8p-2 "
+     "-0x1.15ba7a053d3a7p-2 -0x1.7f106ff5a4b47p-4 0x1.3def915d21ba1p-2 -0x1.17d4faee8af07p+0 "
+     "-0x1.4882b8354036ep-1 -0x1.0da32768c2a75p+1 -0x1.d72c3c6a2f3f4p-2"),
+    ("0x1.bf3de9a29375fp-2 -0x1.d9814e8ccbdd1p-1 -0x1.0cfd273d108c7p-1 -0x1.05a86eefd2422p+0 "
+     "-0x1.ac2308f3fa192p-1 -0x1.632421cef2431p-1 0x1.4b82e02fa09cbp+0 0x1.8ea730a7ce7c5p-2 "
+     "0x1.721c8e2d5c0eap-2 0x1.b56e45de1b20cp+0 -0x1.ca58660b6df7ep+0 0x1.c6961153ddecap+1 "
+     "0x1.f31fd046475edp+0 -0x1.c8a6f771e00f0p+0 -0x1.d9390806fa831p+0"),
+    ("-0x1.31294bf0c5861p-1 0x1.034552b6eafeap-3 0x1.bcbf3991a9378p-8 -0x1.65d79312fcee2p-5 "
+     "-0x1.10a6a9a8ffe48p+0 0x1.a732bcab1f7dep-1 -0x1.a5966bc7dfc5cp-1 0x1.110ed3f4ec1f0p-2 "
+     "-0x1.7e03c2093f7f8p-1 -0x1.cae17401f9330p-3 0x1.1d31a4f538dd0p-2 0x1.afab3f52ce8e0p-1 "
+     "-0x1.64081d3efd220p-1 0x1.5ccd9f109dfbdp+1 -0x1.160e8432e8ebfp+1"),
+]
+
+
+def test_compose_and_inverse_are_pinned_to_the_bit():
+    rng = np.random.default_rng(94)
+    els = [sample_params(rng, wide=k >= 3) for k in range(5)]
+    for k, g in enumerate(els):
+        assert [x.hex() for x in _vector(compose(g, els[k - 1]))] == _COMPOSE_BITS[k].split(), k
+        assert [x.hex() for x in _vector(inverse(g))] == _INVERSE_BITS[k].split(), k
 
 
 def test_oplus_identity():
@@ -405,6 +468,101 @@ def test_vector_and_numpy_numbers_follow_the_number_rule():
         vector_to_params([10 ** 400] + [0] * 14)
     with pytest.raises(ValueError, match="^parameter vector must be a float array"):
         vector_to_params([True] * 15)
+
+
+def _full_read(name, value, shape):
+    """The number rule, the shape check and the finiteness check, with no
+    fast path: what `_float_entries` must give on every value."""
+    v = _names._real_entries(name, value, shape)
+    if not all(map(math.isfinite, v)):
+        raise ValueError(f"{name} must be finite")
+    return v
+
+
+def _outcome(read, *args):
+    """The entries a read returns, as (type, hex) pairs, or its message."""
+    try:
+        return [(type(x), x.hex()) for x in read(*args)]
+    except ValueError as e:
+        return str(e)
+
+
+class _Tuple(tuple):
+    pass
+
+
+@pytest.mark.parametrize("value, want", [
+    ([-0.0, 0.0, -0.0, 0.0], [-0.0, 0.0, -0.0, 0.0]),
+    ([1e308, 1e308, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0]),  # the sum overflows
+    ([math.inf, -math.inf, 0, 0], "{} must be finite"),
+    ([math.inf, -math.inf, 0.0, 0.0], "{} must be finite"),
+    ([0.0, math.nan, 0.0, 0.0], "{} must be finite"),
+    ([0.5, 0.25, 1.0], "{} must have shape (4,), got (3,)"),
+    ((0.5, 0.25, 1.0, 2.0, 3.0), "{} must have shape (4,), got (5,)"),
+    (0.5, "{} must have shape (4,), got ()"),
+    ([0.5, True, 0.0, 0.0], "{} must be a float array of shape (4,)"),
+    ([0.5, 2, 0.0, -0.0], [0.5, 2.0, 0.0, -0.0]),
+    ([0.5, np.float64(-0.0), 0.0, 0.0], [0.5, -0.0, 0.0, 0.0]),
+    ([0.5, Fraction(1, 4), 0.0, 0.0], [0.5, 0.25, 0.0, 0.0]),
+    (_Tuple((0.5, 0.25, 0.0, -0.0)), [0.5, 0.25, 0.0, -0.0]),
+], ids=["signed-zeros", "sum-overflows", "int-infinities", "infinities", "nan", "short",
+        "long", "scalar", "bool", "int", "numpy-float", "fraction", "tuple-subclass"])
+def test_float_fast_path_keeps_the_number_rule(value, want):
+    # the fast path of `_float_entries` for lists of floats accepts, returns
+    # and rejects exactly as the full read does, in both parameter classes
+    for name, read in (("a", lambda v: GroupParams(a=v)._a),
+                       ("omega", lambda v: XLParams(omega=v)._omega),
+                       ("p", lambda v: _names._float_entries("p", v, (4,))),
+                       ("p", lambda v: _full_read("p", v, (4,)))):
+        expect = want.format(name) if isinstance(want, str) else [(float, x.hex()) for x in want]
+        assert _outcome(read, value) == expect, name
+
+
+@pytest.mark.parametrize("value, want", [
+    (-0.0, -0.0), (1e308, 1e308), (math.nan, "alpha must be finite"),
+    (-math.inf, "alpha must be finite"), (True, "alpha must be a number"),
+    ([0.5], "alpha must be a number"), (2, 2.0), (np.float64(-0.0), -0.0), (Fraction(1, 4), 0.25),
+], ids=["negative-zero", "large", "nan", "infinity", "bool", "list", "int", "numpy-float",
+        "fraction"])
+def test_float_fast_path_keeps_the_number_rule_for_one_number(value, want):
+    expect = want if isinstance(want, str) else [(float, want.hex())]
+    for read in (lambda v: (GroupParams(alpha=v).alpha,),
+                 lambda v: _names._float_entries("alpha", v, ()),
+                 lambda v: _full_read("alpha", v, ())):
+        assert _outcome(read, value) == expect
+
+
+def test_float_fast_path_takes_only_exact_floats(monkeypatch):
+    # exact floats, finite in sum, skip the full read; anything else takes it
+    seen = []
+    real_entries = _names._real_entries
+
+    def spy(*args):
+        seen.append(args[1])
+        return real_entries(*args)
+
+    monkeypatch.setattr(_names, "_real_entries", spy)
+    for value, shape in (([0.5, -0.0, 1.0, 2.0], (4,)), ((0.5, 1.0, 2.0), (3,)), (-0.0, ())):
+        _names._float_entries("p", value, shape)
+    assert seen == []
+    full = [_Tuple((0.5, 0.0, 0.0, 0.0)), [0.5, 1, 0.0, 0.0], [1e308, 1e308, 0.0, 0.0],
+            [np.float64(0.5), 0.0, 0.0, 0.0], [0.5, 0.0, 0.0]]
+    for value in full:
+        _outcome(_names._float_entries, "p", value, (4,))
+    assert len(seen) == len(full) and all(x is y for x, y in zip(seen, full))
+
+
+def test_float_fast_path_equals_the_full_read_on_seeded_values():
+    rng = np.random.default_rng(29)
+    special = [math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0]
+    for _ in range(2000):
+        n = int(rng.integers(3, 6))
+        v = [float(x) for x in rng.normal(size=n) * 10.0 ** int(rng.integers(-300, 300))]
+        for k in rng.integers(0, n, size=int(rng.integers(0, 3))):
+            v[k] = special[int(rng.integers(len(special)))]
+        for value, shape in ((v, (4,)), (tuple(v), (4,)), (v[0], ())):
+            assert (_outcome(_names._float_entries, "p", value, shape)
+                    == _outcome(_full_read, "p", value, shape))
 
 
 def test_group_commutator_reads_the_integer_table():
