@@ -19,15 +19,15 @@ from importlib import import_module
 
 _EXPORTS = {
     "_names": ("GENERATOR_NAMES",),
-    "algebra": ("EPS3", "ETA", "STRUCTURE_CONSTANTS", "GeneratorIndex", "JacobiReport",
-                "StructureConstants", "adjoint_of", "casimir_lambda", "casimir_mu",
-                "commutator", "exp_ad", "invariance_residual", "jacobi_check"),
+    "algebra": ("STRUCTURE_CONSTANTS", "GeneratorIndex", "JacobiReport", "StructureConstants",
+                "adjoint_of", "casimir_lambda", "casimir_mu", "exp_ad",
+                "invariance_residual", "jacobi_check"),
     "lorentz": ("DecompositionError", "lorentz_decompose", "lorentz_matrix",
                 "metric_residual", "rapidity"),
     "xlorentz": ("BFORM", "XLParams", "b_residual", "xl_decompose", "xl_matrix"),
     "poincare": ("GroupParams", "compose", "compose_via_affine", "inverse", "oplus",
                  "params_to_vector", "theta_claimed_mask", "theta_closed",
-                 "theta_numeric", "vector_to_params"),
+                 "theta_numeric"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 # the four layers are attributes of the package, as they were when it imported them

@@ -20,13 +20,12 @@ of an ndarray, and each crossing is one of the helpers below:
   exact floats with a finite sum) that gives the same result;
 - `_ndarray` packs a flat list into a fresh, writable array, with one
   `struct.Struct` and dtype kept per size and dtype (`_layout`);
-- `_array_field` shows a float tuple as a read-only ndarray field;
-- `_lazy_constants` makes a module's array constants on first read.
+- `_array_field` shows a float tuple as a read-only ndarray field.
 
-The numpy computations themselves (`rapidity`, `commutator`, `adjoint_of`,
-`exp_ad`, `compose_via_affine`, `oplus_pure_factor_vector`, the samplers of
-`checks`) feed the oracles and stay numpy code; they read their array
-arguments with `np.asarray`, outside the number rule.
+The numpy computations themselves (`rapidity`, `adjoint_of`, `exp_ad`,
+`compose_via_affine`, `oplus_pure_factor_vector`, the samplers of `checks`)
+feed the oracles and stay numpy code; they read their array arguments with
+`np.asarray`, outside the number rule.
 """
 
 import functools
@@ -60,23 +59,6 @@ class _Frozen:
 
 
 # --- the numpy boundary -------------------------------------------------------
-
-def _lazy_constants(namespace: dict, makers: dict):
-    """A module `__getattr__` (PEP 562) that makes the array `name` on its
-    first read as `makers[name](np)`, read-only, and keeps it in `namespace`.
-    Called in the module itself, it returns the kept array."""
-    def __getattr__(name):
-        if name not in makers:
-            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
-        if name not in namespace:
-            import numpy as np
-            value = makers[name](np)
-            value.flags.writeable = False
-            namespace[name] = value
-        return namespace[name]
-
-    return __getattr__
-
 
 @functools.cache
 def _layout(size: int, dtype: str):

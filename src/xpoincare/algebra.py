@@ -30,7 +30,7 @@ import collections
 import itertools
 from enum import IntEnum
 
-from ._names import GENERATOR_NAMES, _float_entries, _Frozen, _lazy_constants, _ndarray
+from ._names import GENERATOR_NAMES, _float_entries, _Frozen, _ndarray
 
 
 GeneratorIndex = IntEnum("GeneratorIndex", [(n.upper(), i) for i, n in enumerate(GENERATOR_NAMES)],
@@ -114,30 +114,6 @@ def _build_rows():
 STRUCTURE_CONSTANTS = StructureConstants(_build_rows())
 
 
-# The numpy tables, each made on its first read and kept, read-only: ETA,
-# ETA_INT, EPS3 and the float copy of the table that adjoint_of reads.
-_ARRAYS = {
-    "ETA": lambda np: np.diag(np.array(_ETA_DIAG, dtype=float)),
-    "ETA_INT": lambda np: np.diag(np.array(_ETA_DIAG, dtype=np.int64)),
-    "EPS3": lambda np: np.array([[[_eps3(i, j, k) for k in range(3)] for j in range(3)]
-                                 for i in range(3)], dtype=np.int64),
-    "_F_FLOAT": lambda np: STRUCTURE_CONSTANTS.dense.astype(float),
-}
-
-__getattr__ = _lazy_constants(globals(), _ARRAYS)
-
-
-def commutator(x, y) -> np.ndarray:
-    """Coefficients z of [x.X, y.X] = i z.X for coefficient 15-vectors x, y.
-
-    Exact for integer-valued inputs.
-    """
-    import numpy as np
-    x = np.asarray(x)
-    y = np.asarray(y)
-    return np.einsum("a,b,abc->c", x, y, STRUCTURE_CONSTANTS.dense)
-
-
 JacobiReport = collections.namedtuple("JacobiReport", ("max_violation", "violations"))
 JacobiReport.__doc__ = """Largest Jacobi defect, and one (a_name, b_name, c_name, worst_e_name,
 value) tuple per violating triple."""
@@ -174,7 +150,7 @@ def jacobi_check(table: StructureConstants | None = None) -> JacobiReport:
 def adjoint_of(x) -> np.ndarray:
     """Sum_a x_a F_a for a coefficient 15-vector x, (F_a)[r, s] = f_ar^s."""
     import numpy as np
-    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), __getattr__("_F_FLOAT"))
+    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), STRUCTURE_CONSTANTS.dense)
 
 
 def exp_ad(x, t: float = 1.0) -> np.ndarray:

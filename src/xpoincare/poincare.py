@@ -86,10 +86,6 @@ def params_to_vector(g: GroupParams) -> np.ndarray:
     return _ndarray(_vector(g), (15,))
 
 
-def vector_to_params(v) -> GroupParams:
-    return _from_vector(_float_entries("parameter vector", v, (15,)))
-
-
 def _translation(g: GroupParams) -> np.ndarray:
     """Translation 5-vector t = (a^0..a^3, alpha)."""
     return _ndarray(g._a + (g.alpha,), (5,))

@@ -26,15 +26,21 @@ from __future__ import annotations
 
 import math
 
-from ._names import (_array_field, _float_entries, _Frozen, _lazy_constants,
-                     _ndarray, _real_entries)
+from ._names import _array_field, _float_entries, _Frozen, _ndarray, _real_entries
 from .lorentz import (DecompositionError, _lorentz_entries, _lorentz_params,
                       _max_abs, trig_h, trig_s)
 
 _BDIAG = (1.0, -1.0, -1.0, -1.0, 1.0)  # the diagonal of B
 
-# BFORM, the matrix of B, is made on first read
-__getattr__ = _lazy_constants(globals(), {"BFORM": lambda np: np.diag(_BDIAG)})
+
+def __getattr__(name):
+    """BFORM, the matrix of B, made on its first read and kept, read-only (PEP 562)."""
+    if name != "BFORM":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import numpy as np
+    bform = globals()["BFORM"] = np.diag(_BDIAG)
+    bform.flags.writeable = False
+    return bform
 
 
 B_TOL = 1e-8        # B-form residual gate of xl_decompose

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from importlib import import_module
 
 import numpy as np
 import pytest
 
 from xpoincare.algebra import (GENERATOR_NAMES, STRUCTURE_CONSTANTS,
                                GeneratorIndex as G, adjoint_of, casimir_lambda,
-                               casimir_mu, commutator, exp_ad,
+                               casimir_mu, exp_ad,
                                invariance_residual, jacobi_check,
                                table_from_json_obj, table_to_csv, table_to_json_obj)
 import xpoincare
@@ -47,20 +48,11 @@ def test_values_are_small_integers():
     (G.GAM2, G.GS, {G.P2: -1.0}),
 ])
 def test_commutator_table_entries(a, b, expect):
-    z = commutator(basis(a), basis(b))
+    z = STRUCTURE_CONSTANTS.dense[a, b]
     want = np.zeros(15)
     for c, v in expect.items():
         want[c] = v
     assert np.array_equal(z, want)
-
-
-def test_commutator_bilinear_antisymmetric():
-    rng = np.random.default_rng(0)
-    x, y = rng.integers(-3, 4, size=15), rng.integers(-3, 4, size=15)
-    assert np.array_equal(commutator(x, y), -commutator(y, x))
-    z = rng.integers(-3, 4, size=15)
-    assert np.array_equal(commutator(x + 2 * z, y),
-                          commutator(x, y) + 2 * commutator(z, y))
 
 
 def test_extended_translations_commute():
@@ -188,17 +180,11 @@ def test_invariance_residual_beyond_int64_overflows():
 def test_tables_keep_their_arrays():
     # the numpy tables are made on first read with the values, dtypes and
     # read-only flags they had as module constants
-    eps = np.zeros((3, 3, 3), dtype=np.int64)
-    for p in itertools.permutations(range(3)):
-        eps[p] = round(np.linalg.det(np.eye(3)[list(p)]))
-    want = {"ETA": np.diag([-1.0, 1.0, 1.0, 1.0]), "EPS3": eps,
-            "ETA_INT": np.diag([-1, 1, 1, 1]).astype(np.int64),
-            "_F_FLOAT": STRUCTURE_CONSTANTS.dense.astype(float),
-            "dense": STRUCTURE_CONSTANTS.dense,
+    want = {"dense": STRUCTURE_CONSTANTS.dense,
             "BFORM": np.diag([1.0, -1.0, -1.0, -1.0, 1.0])}
     homes = {"dense": STRUCTURE_CONSTANTS, "BFORM": xpoincare.xlorentz}
     for name, ref in want.items():
-        got = getattr(homes.get(name, xpoincare.algebra), name)
+        got = getattr(homes[name], name)
         assert got.dtype == ref.dtype and np.array_equal(got, ref), name
         assert not got.flags.writeable, name
     assert len(STRUCTURE_CONSTANTS.rows(both_orders=True)) == 100
@@ -261,6 +247,33 @@ def test_package_import_does_not_load_scipy():
     # scipy serves only the exp_ad oracle and is imported inside it
     code = "import sys, xpoincare.cli; assert 'scipy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_public_surface():
+    # the package exports the group law, its parameters, the exact table and
+    # the oracles; a name it does not export is not an attribute of it
+    assert xpoincare.__all__ == [
+        "BFORM", "DecompositionError", "GENERATOR_NAMES", "GeneratorIndex", "GroupParams",
+        "JacobiReport", "STRUCTURE_CONSTANTS", "StructureConstants", "XLParams",
+        "adjoint_of", "b_residual", "casimir_lambda", "casimir_mu", "compose",
+        "compose_via_affine", "exp_ad", "invariance_residual", "inverse", "jacobi_check",
+        "lorentz_decompose", "lorentz_matrix", "metric_residual", "oplus",
+        "params_to_vector", "rapidity", "theta_claimed_mask", "theta_closed",
+        "theta_numeric", "xl_decompose", "xl_matrix"]
+    for name in xpoincare.__all__:
+        assert getattr(xpoincare, name) is not None, name
+    gone = {"algebra": ("ETA", "ETA_INT", "EPS3", "commutator", "_F_FLOAT"),
+            "poincare": ("vector_to_params",), "_names": ("_lazy_constants",),
+            "xlorentz": ("ETA",)}  # its __getattr__ answers as a plain module does
+    for module, names in gone.items():
+        home = import_module(f"xpoincare.{module}")
+        for name in names:
+            for where in (xpoincare, home):
+                with pytest.raises(AttributeError,
+                                   match=f"^module '{where.__name__}' has no attribute '{name}'$"):
+                    getattr(where, name)
+    assert xpoincare.BFORM is xpoincare.xlorentz.BFORM
+    assert not xpoincare.BFORM.flags.writeable
 
 
 def test_cli_import_does_not_load_numbers():

@@ -1,17 +1,20 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xpoincare import checks
-from xpoincare.algebra import table_to_json_obj
+from xpoincare.algebra import invariance_residual, table_to_json_obj
 from xpoincare.cli import ParseError, canonical_json, main, parse_element_obj
 from xpoincare.checks import element_doc
+from xpoincare.lorentz import lorentz_decompose, lorentz_matrix, metric_residual
 from xpoincare.poincare import GroupParams
-from xpoincare.xlorentz import XLParams, xl_matrix
+from xpoincare.xlorentz import XLParams, b_residual, xl_decompose, xl_matrix
 
 
 def run_cli(args, cwd=None):
@@ -141,6 +144,158 @@ def test_decompose_rejects_unknown_fields(tmp_path, capsys):
     assert main(["decompose", "--matrix", path]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: unknown matrix document fields: ['omega']\n"
+
+
+# --- contract fuzzing of the input edges ---------------------------------------
+# Derandomised: the same examples on every run.  A failing example is a fault
+# of the reader, not of the strategy.
+
+_cells = st.one_of(st.floats(-3.0, 3.0), _numbers, st.booleans(), st.none(),
+                   st.text(max_size=2), st.lists(_numbers, max_size=2))
+
+
+def _scaled(v, scale):
+    return [x * scale for x in v]
+
+
+def _finite(n):
+    """Finite n-vectors at three scales: inside the chart, near its edge, and
+    where W(omega) and oplus overflow float64."""
+    return st.builds(_scaled, st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n),
+                     st.sampled_from([1.0, 10.0, 1e4]))
+
+
+def _any_vector(n):
+    return st.one_of(_finite(n), st.lists(_cells, min_size=n, max_size=n), _json_values)
+
+
+def _fields(alpha, vector):
+    return {"alpha": alpha, "a": vector(4), "omega": vector(4), "u": vector(3),
+            "theta": vector(3)}
+
+
+_cli_elements = st.one_of(st.fixed_dictionaries(_fields(st.floats(-3.0, 3.0), _finite)),
+                          st.fixed_dictionaries({}, optional=_fields(_cells, _any_vector)),
+                          _element_docs, _json_values)
+
+
+def _with_cell(base, k, cell):
+    """The entries of the vector or matrix `base` as lists, with entry k,
+    row by row, replaced by `cell`."""
+    rows = base.tolist()
+    if base.ndim == 1:
+        rows[k] = cell
+    else:
+        rows[k // base.shape[1]][k % base.shape[1]] = cell
+    return rows
+
+
+_XL_BASES = (np.eye(5), xl_matrix(XLParams([0.3, 0.1, -0.4, 0.2], [0.4, -0.3, 0.2],
+                                           [0.5, 0.6, -0.7])))
+_cli_matrices = st.one_of(
+    st.sampled_from(_XL_BASES).map(np.ndarray.tolist),
+    st.builds(_with_cell, st.sampled_from(_XL_BASES), st.integers(0, 24), _cells),
+    st.lists(st.lists(_cells, min_size=5, max_size=5), min_size=5, max_size=5),
+    _json_values)
+
+def _finite_json(text):
+    """The parsed text; NaN and infinities are rejected."""
+    def reject(name):
+        raise AssertionError(f"non-finite {name} in output")
+    return json.loads(text, parse_constant=reject)
+
+
+def _leaves(x):
+    """The values of a parsed JSON document that are not lists or objects."""
+    if isinstance(x, dict):
+        x = list(x.values())
+    return [y for v in x for y in _leaves(v)] if isinstance(x, list) else [x]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(name=st.sampled_from(["invert", "compose", "oplus", "theta", "decompose"]),
+       docs=st.lists(_cli_elements, min_size=2, max_size=2), matrix=_cli_matrices)
+@example(name="invert", docs=[{"omega": [0.0, 800.0, 0.0, 0.0]}] * 2, matrix=None)  # overflow
+@example(name="decompose", docs=[{}] * 2, matrix=(2 * np.eye(5)).tolist())  # unreachable
+def test_cli_contract_on_malformed_documents(tmp_path_factory, name, docs, matrix):
+    # every run exits 0, 2 or 3; a rejection is one stderr line and no
+    # traceback (an exception escaping main fails the test); exit 0 prints
+    # finite numbers, and null only for the unclaimed entries of theta --closed
+    folder = tmp_path_factory.mktemp("contract")
+    if name == "decompose":
+        argv = ["decompose", "--matrix", write_json(folder / "m.json", {"matrix": matrix})]
+    else:
+        docs = docs if name == "compose" else docs[:1]
+        argv = [name] + [write_json(folder / f"{i}.json", d) for i, d in enumerate(docs)]
+        argv += ["--closed"] if name == "theta" else []
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    out, err = stdout.getvalue(), stderr.getvalue()
+    assert code in (0, 2, 3), (argv, code, err)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+        return
+    assert err == ""
+    assert all(type(x) in (int, float) or (x is None and name == "theta")
+               for x in _leaves(_finite_json(out)))
+
+
+_lib_scalars = st.one_of(
+    st.floats(-2.0, 2.0), _numbers, st.booleans(), st.none(), st.text(max_size=2),
+    st.fractions(), st.integers(10 ** 400, 10 ** 410),
+    st.floats().map(np.float64), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+    st.sampled_from([np.bool_(True), np.float32(1.5), np.uint8(3), np.complex128(1j)]))
+
+
+def _array_forms(rows):
+    """rows as nested lists, as an object array and, when numpy converts
+    it, as a float array."""
+    forms = [rows, np.array(rows, dtype=object)]
+    try:
+        forms.append(np.array(rows, dtype=float))
+    except (TypeError, ValueError, OverflowError):
+        pass
+    return st.sampled_from(forms)
+
+
+def _lib_arrays(base):
+    """Values for an argument of the shape of `base`: base with one entry
+    replaced, in each of its array forms, and values of any other shape."""
+    rows = st.builds(_with_cell, st.just(base), st.integers(0, base.size - 1), _lib_scalars)
+    return st.one_of(rows.flatmap(_array_forms), _lib_scalars, _json_values,
+                     st.lists(_lib_scalars, max_size=4))
+
+
+_Z3 = np.zeros(3)
+_LIBRARY = (
+    (lambda x: GroupParams(alpha=x), _lib_scalars | _json_values),
+    (lambda x: GroupParams(a=x), _lib_arrays(np.zeros(4))),
+    (lambda x: GroupParams(xl=x), _lib_scalars),
+    (lambda x: XLParams(omega=x), _lib_arrays(np.zeros(4))),
+    (lambda x: XLParams(u=x), _lib_arrays(_Z3)),
+    (lambda x: XLParams(theta=x), _lib_arrays(_Z3)),
+    (lambda x: lorentz_matrix(x, _Z3), _lib_arrays(_Z3)),
+    (lambda x: lorentz_matrix(_Z3, x), _lib_arrays(_Z3)),
+    (xl_decompose, _lib_arrays(_XL_BASES[1])),
+    (b_residual, _lib_arrays(_XL_BASES[1])),
+    (lorentz_decompose, _lib_arrays(lorentz_matrix([0.4, -0.3, 0.2], [0.5, 0.6, -0.7]))),
+    (metric_residual, _lib_arrays(np.eye(4))),
+    (invariance_residual, _lib_arrays(np.eye(15, dtype=np.int64))))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(case=st.sampled_from(range(len(_LIBRARY))), data=st.data())
+def test_library_entry_points_raise_only_value_or_overflow_errors(case, data):
+    # the entry points that read outside values: numbers, ints beyond 10^400,
+    # Fractions, numpy scalars, object arrays, bools, strings, None and wrong
+    # shapes either read or raise ValueError (DecompositionError included) or
+    # OverflowError, with a one-line message
+    call, values = _LIBRARY[case]
+    try:
+        call(data.draw(values))
+    except (ValueError, OverflowError) as exc:
+        assert str(exc) and "\n" not in str(exc), repr(exc)
 
 
 def test_compose_command(tmp_path):

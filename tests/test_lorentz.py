@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpoincare.algebra import EPS3, ETA, invariance_residual
+from xpoincare.algebra import invariance_residual
 from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
                                _boost_strip, _det3, lorentz_decompose, lorentz_matrix,
                                metric_residual, rapidity, trig_h, trig_s)
@@ -16,11 +16,15 @@ coords = st.floats(-1.5, 1.5, allow_nan=False)
 u_vectors = st.tuples(coords, coords, coords).map(np.array)
 angles = st.floats(0.0, math.pi, allow_nan=False)
 
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+EPS3 = np.array([[[(i - j) * (j - k) * (k - i) / 2 for k in range(3)]  # Levi-Civita
+                  for j in range(3)] for i in range(3)])
+
 
 def rotation_generators() -> np.ndarray:
     """(3, 4, 4) array of J_m, (J_m)^j_k = eps_mjk on the spatial block."""
     g = np.zeros((3, 4, 4))
-    g[:, 1:, 1:] = EPS3.astype(float)
+    g[:, 1:, 1:] = EPS3
     return g
 
 

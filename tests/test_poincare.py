@@ -12,11 +12,10 @@ from xpoincare.algebra import (STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, 
                                invariance_residual)
 from xpoincare.checks import sample_params
 from xpoincare.lorentz import DecompositionError, lorentz_decompose, lorentz_matrix
-from xpoincare.poincare import (GroupParams, _translation, _vector, compose,
-                                compose_via_affine, inverse, oplus,
+from xpoincare.poincare import (GroupParams, _from_vector, _translation, _vector,
+                                compose, compose_via_affine, inverse, oplus,
                                 oplus_pure_factor_vector, params_to_vector,
-                                theta_claimed_mask, theta_closed, theta_numeric,
-                                vector_to_params)
+                                theta_claimed_mask, theta_closed, theta_numeric)
 from xpoincare.xlorentz import BFORM, XLParams, xl_matrix
 
 COSH_HALF_PI = 2.5091784786580567
@@ -45,7 +44,7 @@ def test_parameter_vector_roundtrip():
     g = sample(rng)
     v = params_to_vector(g)
     assert v.shape == (15,)
-    assert aff_dist(vector_to_params(v), g) == 0
+    assert aff_dist(_from_vector(v), g) == 0
 
 
 def test_affine_identity_and_pure_translation():
@@ -461,13 +460,9 @@ def test_vector_and_numpy_numbers_follow_the_number_rule():
     assert g.xl._omega == (1.0, 0.0, 0.0, 0.0) and g.xl._theta == (1.0, 0.25, 2.0)
     assert all(type(x) is float for x in g.xl._u + g.xl._theta)
     assert GroupParams(alpha=np.int64(3)).alpha == 3.0
-    assert params_to_vector(vector_to_params(np.arange(15))).tolist() == list(range(15))
+    assert params_to_vector(_from_vector(np.arange(15))).tolist() == list(range(15))
     with pytest.raises(ValueError, match="^alpha must be finite$"):
         GroupParams(alpha=10 ** 400)
-    with pytest.raises(ValueError, match="^parameter vector must be finite$"):
-        vector_to_params([10 ** 400] + [0] * 14)
-    with pytest.raises(ValueError, match="^parameter vector must be a float array"):
-        vector_to_params([True] * 15)
 
 
 def _full_read(name, value, shape):
@@ -573,7 +568,7 @@ def test_group_commutator_reads_the_integer_table():
     f = STRUCTURE_CONSTANTS.dense
 
     def commutator(a, b, eps):
-        g, h = (vector_to_params(eps * np.eye(15)[k]) for k in (a, b))
+        g, h = (_from_vector(eps * np.eye(15)[k]) for k in (a, b))
         c = compose(compose(g, h), compose(inverse(g), inverse(h)))
         return params_to_vector(c) / eps ** 2
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xpoincare.algebra import _F_FLOAT, ETA, exp_ad
+from xpoincare.algebra import STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, exp_ad
 from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
 from xpoincare.lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
                                metric_residual, trig_h, trig_s)
@@ -21,6 +21,9 @@ SINH_HALF_PI = 2.3012989023072947
 coords = st.floats(-1.0, 1.0, allow_nan=False)
 omega4 = st.tuples(coords, coords, coords, coords).map(np.array)
 u3 = st.tuples(coords, coords, coords).map(np.array)
+
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+F_FLOAT = STRUCTURE_CONSTANTS.dense.astype(float)  # f[a, b, c] as floats
 
 
 def dirac_generator5(omega):
@@ -625,7 +628,7 @@ def _element_scale(d, t=0.0):
 
 
 # G_A, the images of the ten extended-Lorentz generators on the (P, Gs) block
-_G5 = _F_FLOAT[:10, 10:, 10:]
+_G5 = F_FLOAT[:10, 10:, 10:]
 
 
 def test_adjoint10_matches_basis_expansion():
@@ -643,7 +646,7 @@ def test_adjoint10_matches_basis_expansion():
 def test_oplus_translation_block_matches_matrix_product():
     # oracle: (sum_b t_b F_b)[:10, (P, Gs)] D, F_b the adjoint matrices of
     # P0..P3, Gs, as one matrix product; the float core reads two terms a row
-    f_trans = _F_FLOAT[10:, :10, 10:].reshape(5, 50)
+    f_trans = F_FLOAT[10:, :10, 10:].reshape(5, 50)
     worst = 0.0
     for g in _closed_form_draws():
         d, t = xl_matrix(g.xl), np.array([*g.a, g.alpha])
@@ -727,6 +730,22 @@ def test_oplus_adjoint_error_is_eps_d_squared(r):
                   for a in range(10) for c in range(10))
         size = max(abs(x) for x in d) ** 2
     assert float(err / size) / EPS <= CLOSED_FORM_K
+
+
+def test_oplus_preserves_both_casimir_forms():
+    # O = oplus(g) is the adjoint action, so O K_lambda O^T = K_lambda on the
+    # Lorentz-sector form and O^T K_mu O = K_mu on the translation form.  The
+    # error is of order eps |O|^2, as above; measured on these 500 narrow and
+    # 500 wide draws: 5.3 eps |O|^2 for K_lambda and 1.8 for K_mu; k = CLOSED_FORM_K
+    k_lambda, k_mu = casimir_lambda(), casimir_mu()
+    rng = np.random.default_rng(9)
+    worst = 0.0
+    for wide in [False] * 500 + [True] * 500:
+        o = oplus(sample_params(rng, wide))
+        size = EPS * max(1.0, np.abs(o).max() ** 2)
+        worst = max(worst, np.abs(o @ k_lambda @ o.T - k_lambda).max() / size,
+                    np.abs(o.T @ k_mu @ o - k_mu).max() / size)
+    assert worst <= CLOSED_FORM_K, worst
 
 
 def _mp_draws(kind):
