@@ -23,8 +23,8 @@ of an ndarray, and each crossing is one of the helpers below:
 - `_array_field` shows a float tuple as a read-only ndarray field.
 
 The numpy computations themselves (`rapidity`, `adjoint_of`, `exp_ad`,
-`compose_via_affine`, `oplus_pure_factor_vector`, the samplers of `checks`)
-feed the oracles and stay numpy code; they read their array arguments with
+`compose_via_affine`, the samplers and factor vectors of `checks`) feed the
+oracles and stay numpy code; they read their array arguments with
 `np.asarray`, outside the number rule.
 """
 

@@ -25,7 +25,7 @@ from .algebra import (_CASIMIR_LAMBDA, _CASIMIR_MU, GENERATOR_NAMES, STRUCTURE_C
                       StructureConstants, _invariance_residual, exp_ad, jacobi_check)
 from .lorentz import lorentz_decompose, lorentz_matrix, metric_residual, rapidity
 from .poincare import (GroupParams, _translation, compose, compose_via_affine,
-                       element_doc, inverse, oplus, oplus_pure_factor_vector,
+                       element_doc, inverse, oplus, params_to_vector,
                        theta_claimed_mask, theta_closed, theta_numeric)
 from .xlorentz import XLParams, b_residual, xl_decompose, xl_matrix
 
@@ -147,6 +147,24 @@ def _dist(x, y) -> float:
     return float(abs(x - y).max())
 
 
+def _pure_factors(g: GroupParams) -> list:
+    """The factors C(alpha), V(a), W(omega), L(u), R(theta) of
+    M(g) = C V W L R, in that order, each as an element of its own."""
+    x = g.xl
+    return [GroupParams(alpha=g.alpha), GroupParams(a=g.a),
+            GroupParams(xl=XLParams(omega=x.omega)), GroupParams(xl=XLParams(u=x.u)),
+            GroupParams(xl=XLParams(theta=x.theta))]
+
+
+def _algebra_vector(f: GroupParams) -> np.ndarray:
+    """The algebra coefficient 15-vector of a pure factor f, so that
+    exp_ad of it is the oracle of oplus(f): the parameters of f, except that
+    L(u) is the exponential of the rapidity of u."""
+    v = params_to_vector(f)
+    v[3:6] = rapidity(f.xl.u)
+    return v
+
+
 # --- suites ------------------------------------------------------------------
 
 def suite_jacobi(trials, seed, table: StructureConstants | None = None):
@@ -189,20 +207,17 @@ def suite_oracle(trials, seed):
     with s.sampled("dirac-boost-closed-vs-exp-ad", 1e-10, _vectors_doc) as worst:
         for i in range(trials):
             omega = sample_omega(rng, kinds[i % 3])
-            x = np.zeros(15)
-            x[6:10] = omega
-            worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(XLParams(omega=omega))),
-                  {"omega": omega})
+            p = XLParams(omega=omega)
+            x = _algebra_vector(GroupParams(xl=p))
+            worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(p)), {"omega": omega})
 
     with s.sampled("lorentz-embedding-vs-exp-ad", 1e-10, _vectors_doc) as worst:
         for _ in range(max(1, trials // 2)):
             p = XLParams(u=_ball(rng, 3, 2.0))
-            x = np.zeros(15)
-            x[3:6] = rapidity(p.u)
+            x = _algebra_vector(GroupParams(xl=p))
             worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(p)), {"u": p.u})
             p = XLParams(theta=_unit(rng, 3) * rng.uniform(0, np.pi))
-            x = np.zeros(15)
-            x[0:3] = p.theta
+            x = _algebra_vector(GroupParams(xl=p))
             worst(_dist(exp_ad(x)[10:, 10:], xl_matrix(p)), {"theta": p.theta})
 
     with s.sampled("one-parameter-subgroup", 1e-10, _vectors_doc) as worst:
@@ -218,9 +233,7 @@ def suite_oracle(trials, seed):
             "generator": GENERATOR_NAMES[at[0]], "tau": float(at[1])}) as worst:
         for a in range(15):
             for tau in np.linspace(-2.0, 2.0, 9):
-                e = np.zeros(15)
-                e[a] = 1.0
-                worst(abs(float(np.linalg.det(exp_ad(e, tau))) - 1.0), (a, tau))
+                worst(abs(float(np.linalg.det(exp_ad(np.eye(15)[a], tau))) - 1.0), (a, tau))
     return s.result()
 
 
@@ -308,13 +321,8 @@ def suite_oplus_hom(trials, seed):
 
     with s.sampled("pure-factors-match-exp-ad", 1e-10, element_doc) as worst:
         for _ in range(max(1, trials // 5)):
-            g = sample_params(rng, wide=True)
-            factors = [GroupParams(alpha=g.alpha), GroupParams(a=g.a),
-                       GroupParams(xl=XLParams(omega=g.xl.omega)),
-                       GroupParams(xl=XLParams(u=g.xl.u)),
-                       GroupParams(xl=XLParams(theta=g.xl.theta))]
-            for fac, vec in zip(factors, oplus_pure_factor_vector(g)):
-                worst(_dist(oplus(fac), exp_ad(vec)), fac)
+            for fac in _pure_factors(sample_params(rng, wide=True)):
+                worst(_dist(oplus(fac), exp_ad(_algebra_vector(fac))), fac)
 
     with s.sampled("translation-block-and-form", 1e-10, _xl_doc) as worst:
         for _ in range(max(1, trials // 2)):

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 
 from ._names import _array_field, _float_entries, _Frozen, _ndarray
-from .lorentz import _lorentz_entries, rapidity
+from .lorentz import _lorentz_entries
 from .xlorentz import (XLParams, _dirac_coefficients, _xl_decompose, _xl_entries,
                        xl_decompose, xl_matrix)
 
@@ -242,23 +242,6 @@ def oplus(g: GroupParams) -> np.ndarray:
     K rows the orbital couplings into the P columns.
     """
     return _ndarray(_oplus_entries(g), (15, 15))
-
-
-def oplus_pure_factor_vector(g: GroupParams) -> list[np.ndarray]:
-    """Algebra coefficient vectors of the five canonical factors of g.
-
-    Order C(alpha), V(a), W(omega), L(u), R(theta); exp_ad of each vector is
-    the oracle for the corresponding factor of oplus.
-    """
-    import numpy as np
-    vs = []
-    for sl, coeffs in ((slice(14, 15), [g.alpha]), (slice(10, 14), g.a),
-                       (slice(6, 10), g.xl.omega), (slice(3, 6), rapidity(g.xl.u)),
-                       (slice(0, 3), g.xl.theta)):
-        v = np.zeros(15)
-        v[sl] = coeffs
-        vs.append(v)
-    return vs
 
 
 # --- Lie structure matrices ----------------------------------------------------

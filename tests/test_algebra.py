@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -247,6 +248,30 @@ def test_package_import_does_not_load_scipy():
     # scipy serves only the exp_ad oracle and is imported inside it
     code = "import sys, xpoincare.cli; assert 'scipy' not in sys.modules"
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def test_float_core_modules_import_no_numpy():
+    # lorentz, xlorentz and poincare hold the float core: their arrays come
+    # from _names, and numpy is imported only inside the oracles that have
+    # not moved out yet, never at module level
+    allowed = {("lorentz", "rapidity"), ("xlorentz", "__getattr__")}
+    found = set()
+    for module in ("lorentz", "xlorentz", "poincare"):
+        path = import_module(f"xpoincare.{module}").__file__
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                    found.add((module, where))
+    assert found == allowed
 
 
 def test_public_surface():

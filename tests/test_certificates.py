@@ -206,3 +206,57 @@ def test_boost_strip_is_the_inverse_boost_times_m(lorentz_symbols):
     U = _boost_generator(u)
     want = (sympy.eye(4) - U + U * U / (1 + U0)) * M
     _assert_identical_given_u0(lorentz._boost_strip(_entries(M)), _entries(want), U0, u, roots)
+
+
+def _element_stand_ins(monkeypatch):
+    """poincare's XLParams and GroupParams patched to stand-ins that keep
+    their arguments, so that a kernel may build elements of symbols."""
+    from types import SimpleNamespace
+    monkeypatch.setattr(poincare, "XLParams", lambda omega, u, theta: SimpleNamespace(
+        omega=omega, u=u, theta=theta))
+    monkeypatch.setattr(poincare, "GroupParams", lambda alpha, a, xl: SimpleNamespace(
+        alpha=alpha, a=a, xl=xl))
+
+
+def test_inverse_translation_is_minus_d_transpose_t(dirac, monkeypatch):
+    # w, t and the 16 entries of Lambda free: (a', alpha') = -D^T t with
+    # D = W(w) diag(Lambda, 1), W = 1 + S g + H g^2
+    from types import SimpleNamespace
+    w, g, S, H = dirac
+    L = _symbols("l", 4)
+    t = sympy.Matrix(sympy.symbols("t:5"))
+    monkeypatch.setattr(poincare, "_lorentz_entries", lambda u, theta: _entries(L))
+    _element_stand_ins(monkeypatch)
+    xl = SimpleNamespace(_omega=w, _u=(0.0,) * 3, _theta=(0.0,) * 3)
+    got = poincare.inverse(_stand_in(t, xl))
+    D = (sympy.eye(5) + S * g + H * g * g) * sympy.diag(L, 1)
+    _assert_identical([*got.a, got.alpha], _entries(-D.T * t))
+
+
+def test_compose_translation_is_t2_plus_b_d2_b_t1(monkeypatch):
+    # D2 (the D of both factors), t2 and t1 free; the extended-Lorentz part
+    # of the product is not read
+    from types import SimpleNamespace
+    D2 = _symbols("d", 5)
+    t2, t1 = sympy.Matrix(sympy.symbols("t:5")), sympy.Matrix(sympy.symbols("s:5"))
+    monkeypatch.setattr(poincare, "_xl_entries", lambda omega, lam: _entries(D2))
+    monkeypatch.setattr(poincare, "_xl_decompose", lambda d: None)
+    _element_stand_ins(monkeypatch)
+    xl = SimpleNamespace(_omega=(0.0,) * 4, _u=(0.0,) * 3, _theta=(0.0,) * 3)
+    got = poincare.compose(_stand_in(t2, xl), _stand_in(t1, xl))
+    B = sympy.diag(1, -1, -1, -1, 1)
+    _assert_identical([*got.a, got.alpha], _entries(t2 + B * D2 * B * t1))
+
+
+def test_dirac_boost_preserves_b_given_the_relation_of_s_and_h(dirac):
+    # the relation every certificate above leaves free: g^3 = q g for the
+    # kernels' q, and W^T B W = B modulo S^2 - 2 H - q H^2
+    w, g, S, H = dirac
+    q = w[1] ** 2 + w[2] ** 2 + w[3] ** 2 - w[0] ** 2
+    assert (g ** 3 - q * g).expand() == sympy.zeros(5, 5)
+    B = sympy.diag(1, -1, -1, -1, 1)
+    W = sympy.eye(5) + S * g + H * g * g
+    relation = S ** 2 - 2 * H - q * H ** 2
+    for k, x in enumerate(_entries(W.T * B * W - B)):
+        _, rest = sympy.reduced(sympy.expand(x), [relation], S, H, *w)
+        assert rest == 0, f"entry {k}: {rest}"
