@@ -30,7 +30,7 @@ import collections
 import itertools
 from enum import IntEnum
 
-from ._names import GENERATOR_NAMES, _float_entries, _Frozen, _ndarray
+from ._names import GENERATOR_NAMES, _float_entries, _Frozen, _ndarray, _read
 
 
 GeneratorIndex = IntEnum("GeneratorIndex", [(n.upper(), i) for i, n in enumerate(GENERATOR_NAMES)],
@@ -208,12 +208,13 @@ def invariance_residual(kmat: np.ndarray,
     """Per-row max |F_r^T K + K F_r|, the adjoint-invariance defect of K.
 
     Exactly zero in row r iff the quadratic form K commutes with generator r.
-    Integer arithmetic throughout.  K is read as a parameter is, into finite
-    floats (exact for entries up to 2**53 in magnitude), a non-finite K is a
-    ValueError, and each entry is truncated toward zero; the result is an
-    int64 array of 15.
+    Integer arithmetic throughout.  K is checked as a parameter is, by the
+    number rule, its shape and finiteness (a non-finite K is a ValueError);
+    an int entry is read exactly, at any size, and a float entry truncated
+    toward zero.  The result is an int64 array of 15.
     """
-    k = [int(x) for x in _float_entries("kmat", kmat, (15, 15))]
+    _float_entries("kmat", kmat, (15, 15))
+    k = [int(x) for x in _read(kmat, 2)[1]]
     return _ndarray(_invariance_residual(k, table), (15,), "int64")
 
 

@@ -238,14 +238,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     p.set_defaults(fn=cmd_invert)
 
-    for name, fn, extra in (("oplus", cmd_oplus, ()),
-                            ("theta", cmd_theta, ("--numeric", "--closed"))):
+    for name, fn in (("oplus", cmd_oplus), ("theta", cmd_theta)):
         p = sub.add_parser(name, help=f"emit the 15x15 {name} matrix")
         p.add_argument("element")
         p.add_argument("--csv", action="store_true", help="CSV instead of JSON")
         p.add_argument("--labels", action="store_true",
                        help="prepend generator names")
-        if extra:
+        if name == "theta":
             mode = p.add_mutually_exclusive_group()
             mode.add_argument("--numeric", action="store_true", default=True)
             mode.add_argument("--closed", action="store_true",

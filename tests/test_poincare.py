@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from test_stdlib import COMPOSE_BITS, ELEMENTS, INVERSE_BITS, _full_read, _outcome
+from test_stdlib import ELEMENTS, _full_read, _outcome
 from xpoincare import _names
 from xpoincare.algebra import (STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, exp_ad,
                                invariance_residual)
@@ -180,15 +180,14 @@ def test_inverse_two_sided():
         assert aff_dist(compose(g, gi), e) < 1e-8
 
 
-def test_compose_and_inverse_are_pinned_to_the_bit():
-    # the bits are kept once, in the standard-library module, with the five
-    # elements as hex literals: the seeded draws are those elements
+def test_seeded_draws_are_the_pinned_elements():
+    # the bits of compose and inverse are pinned once, in the standard-library
+    # module, on the five elements as hex literals: the seeded draws are those
+    # elements
     rng = np.random.default_rng(94)
-    els = [sample_params(rng, wide=k >= 3) for k in range(5)]
-    for k, g in enumerate(els):
+    for k in range(5):
+        g = sample_params(rng, wide=k >= 3)
         assert [x.hex() for x in _vector(g)] == ELEMENTS[k].split(), k
-        assert [x.hex() for x in _vector(compose(g, els[k - 1]))] == COMPOSE_BITS[k].split(), k
-        assert [x.hex() for x in _vector(inverse(g))] == INVERSE_BITS[k].split(), k
 
 
 def test_oplus_identity():
@@ -498,19 +497,6 @@ def test_float_fast_path_takes_only_exact_floats(monkeypatch):
     for value in full:
         _outcome(_names._float_entries, "p", value, (4,))
     assert len(seen) == len(full) and all(x is y for x, y in zip(seen, full))
-
-
-def test_float_fast_path_equals_the_full_read_on_seeded_values():
-    rng = np.random.default_rng(29)
-    special = [math.inf, -math.inf, math.nan, 1e308, -1e308, 0.0, -0.0]
-    for _ in range(2000):
-        n = int(rng.integers(3, 6))
-        v = [float(x) for x in rng.normal(size=n) * 10.0 ** int(rng.integers(-300, 300))]
-        for k in rng.integers(0, n, size=int(rng.integers(0, 3))):
-            v[k] = special[int(rng.integers(len(special)))]
-        for value, shape in ((v, (4,)), (tuple(v), (4,)), (v[0], ())):
-            assert (_outcome(_names._float_entries, "p", value, shape)
-                    == _outcome(_full_read, "p", value, shape))
 
 
 def test_group_commutator_reads_the_integer_table():

@@ -26,8 +26,9 @@ import unittest
 from xpoincare import _names, cli
 from xpoincare.algebra import (_CASIMIR_LAMBDA, _CASIMIR_MU, STRUCTURE_CONSTANTS,
                                _invariance_residual, jacobi_check)
-from xpoincare.poincare import (_from_vector, _oplus_entries, _theta_closed_entries, _vector,
-                                compose, inverse)
+from xpoincare.poincare import (GroupParams, _from_vector, _oplus_entries,
+                                _theta_closed_entries, _theta_numeric, _vector, compose,
+                                element_doc, inverse)
 from xpoincare.xlorentz import _xl_decompose
 
 # Five elements as (theta, u, omega, a, alpha), three narrow and two wide:
@@ -189,8 +190,13 @@ class FloatCorePins(unittest.TestCase):
             self.assertEqual(_bits(p._omega + p._u + p._theta), want.split())
 
 
-# The input files of the commands below: those of the CI tables of
-# .github/workflows/tests.yml, error files included
+# The one table of the commands that load no numpy, FILES and COMMANDS: the
+# Tier-1 suite runs this module in an interpreter where any numpy import
+# fails (tests/test_algebra.py), and the numpy-absent job of
+# .github/workflows/tests.yml runs it where numpy is not installed.  FILES
+# are the input files, error files included: m2.json fails the B-form gate
+# of decompose, and outside.json, an extended-Lorentz matrix beyond the
+# reach of W L R, its block gate
 FILES = {
     "e.json": ('{"alpha": 0.5, "a": [1, -2, 0.3, 4], "omega": [0.3, 0.1, -0.4, 0.2], '
                '"u": [0.4, -0.3, 0.2], "theta": [0.5, 0.6, -0.7]}'),
@@ -206,6 +212,14 @@ FILES = {
                '[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]}'),
     "m2.json": ('{"matrix": [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0], '
                 '[0, 0, 0, 2, 0], [0, 0, 0, 0, 2]]}'),
+    "outside.json": ('{"matrix": [[-4.380000000000002, 9.259772730131644, 0.9840731680114039, '
+                     '-1.3120975573485385, -8.381467115827013], [-3.936292672045615, '
+                     '9.127349307143804, 0.7200000000000002, -0.9600000000000003, '
+                     '-8.261604285767895], [-0.9840731680114038, 1.6937349229751393, '
+                     '1.1800000000000002, -0.24000000000000007, -1.5330812076682694], '
+                     '[1.3120975573485385, -2.258313230633519, -0.2400000000000001, 1.32, '
+                     '2.044108276891026], [9.292174685833805e-16, 2.1292794550948155, '
+                     '-1.6996616692943942e-16, 2.266215559059192e-16, -2.3524096152432463]]}'),
     "deep.json": "[" * 100000 + "]" * 100000,
 }
 
@@ -245,6 +259,8 @@ COMMANDS = [
      "56e738a25aefcf7945aa511e5c938d7b3e8da13293be8f8a69e361200ed2f3f7"),
     (3, "decompose --matrix m2.json",
      "173c0bae5a46c35e24f99d616a9cfc648a8b973f4efbe18efe47a6f0c8c86c0a"),
+    (3, "decompose --matrix outside.json",
+     "d7300e751be74bd52d66ce2f5d560b563df309467d2928ca4984ff27eccf2912"),
     (2, "invert bool.json",
      "83916222c2da3fc749d34da6552c2fc6e34ad6a612474f1f66f206c7d1635ae6"),
     (0, "invert huge.json",
@@ -272,9 +288,28 @@ def _run(argv: list) -> tuple:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
+def _matrix_text(entries) -> str:
+    """The JSON document of the 15x15 matrix with `entries`, row by row; NaN,
+    an entry without a claim, is null."""
+    rows = [[None if math.isnan(x) else x for x in entries[i:i + 15]]
+            for i in range(0, 225, 15)]
+    return cli.canonical_json({"matrix": rows}) + "\n"
+
+
+def _csv_text(entries) -> str:
+    """The labelled CSV of a matrix with finite entries; + 0.0 turns -0.0 into 0."""
+    lines = ["," + ",".join(_names.GENERATOR_NAMES)]
+    for i, name in enumerate(_names.GENERATOR_NAMES):
+        lines.append(name + "," + ",".join(format(x + 0.0, ".17g")
+                                           for x in entries[15 * i:15 * i + 15]))
+    return "\n".join(lines) + "\n"
+
+
 class CommandLinePins(unittest.TestCase):
 
-    def test_numpy_free_commands(self):
+    @classmethod
+    def setUpClass(cls):
+        """Run each command of COMMANDS once, in a directory of FILES."""
         cwd = os.getcwd()
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)  # the error messages name the files as given
@@ -285,12 +320,31 @@ class CommandLinePins(unittest.TestCase):
                 for name, argv in (("t.json", []), ("tfull.json", ["--full"])):
                     with open(name, "w", encoding="utf-8") as fh:
                         fh.write(_run(["dump-algebra", *argv])[1])
-                for want, args, digest in COMMANDS:
-                    out = _run(args.split())
-                    self.assertEqual(out[0], want, args)
-                    self.assertEqual(_sha256(json.dumps(out)), digest, args)
+                cls.outputs = {args: _run(args.split()) for _, args, _ in COMMANDS}
             finally:
                 os.chdir(cwd)
+
+    def test_numpy_free_commands(self):
+        for want, args, digest in COMMANDS:
+            out = self.outputs[args]
+            self.assertEqual(out[0], want, args)
+            self.assertEqual(_sha256(json.dumps(out)), digest, args)
+
+    def test_element_commands_print_the_library_result(self):
+        g = cli.parse_element_obj(json.loads(FILES["e.json"]))
+        m = [float(x) for row in json.loads(FILES["m.json"])["matrix"] for x in row]
+
+        def doc(h):
+            return cli.canonical_json(element_doc(h)) + "\n"
+
+        for args, text in (("invert e.json", doc(inverse(g))),
+                           ("compose e.json e.json", doc(compose(g, g))),
+                           ("decompose --matrix m.json", doc(GroupParams(xl=_xl_decompose(m)))),
+                           ("theta e.json", _matrix_text(_theta_numeric(g))),
+                           ("theta e.json --closed", _matrix_text(_theta_closed_entries(g))),
+                           ("oplus e.json", _matrix_text(_oplus_entries(g))),
+                           ("oplus e.json --csv --labels", _csv_text(_oplus_entries(g)))):
+            self.assertEqual(self.outputs[args][1], text, args)
 
 
 def _outcome(read, *args):
