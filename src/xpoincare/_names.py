@@ -18,8 +18,8 @@ of an ndarray, and each crossing is one of the helpers below:
   that read of a parameter, whose entries must also be finite, with a fast
   path for what the float core makes (a finite float, or a list or tuple of
   exact floats with a finite sum) that gives the same result;
-- `_ndarray` packs a flat list into a fresh, writable array, with one
-  `struct.Struct` and dtype kept per size and dtype (`_layout`);
+- `_ndarray` packs a flat list in place into a fresh, writable array, by a
+  `struct` format that the `struct` module compiles once and keeps;
 - `_array_field` shows a float tuple as a read-only ndarray field.
 
 The numpy computations themselves (`rapidity`, `adjoint_of`, `exp_ad`,
@@ -28,7 +28,6 @@ oracles and stay numpy code; they read their array arguments with
 `np.asarray`, outside the number rule.
 """
 
-import functools
 import math
 import struct
 
@@ -60,30 +59,20 @@ class _Frozen:
 
 # --- the numpy boundary -------------------------------------------------------
 
-@functools.cache
-def _layout(size: int, dtype: str):
-    """The `struct.Struct` that packs `size` entries of numpy `dtype`, and
-    that dtype, made once per pair and kept: the callers pack a fixed set of
-    sizes and dtypes, so the cache stays small.  struct reads the dtype's
-    character code as the same C type that numpy does."""
-    import numpy as np
-    np_dtype = np.dtype(dtype)
-    return struct.Struct(f"{size}{np_dtype.char}"), np_dtype
-
-
 def _ndarray(entries, shape: tuple, dtype: str = "float64"):
     """A fresh, writable, C-contiguous array of `shape` and numpy `dtype`
-    holding the flat row-major `entries`.  Packed to bytes by the packer kept
-    for its size and dtype, and copied once: faster than np.array or
-    np.fromiter of the list, which convert entry by entry, and the array owns
-    its memory, as theirs do."""
+    holding the flat row-major `entries`, packed into its memory by `struct`,
+    which keeps the compiled format: faster than np.array or np.fromiter of
+    the list, which convert entry by entry.  The format counts the array's
+    size, not the list's, so a list of another length ends in numpy's
+    ValueError and never in a partly filled array."""
     import numpy as np
-    packer, np_dtype = _layout(len(entries), dtype)
+    a = np.empty(shape, dtype)
     try:
-        data = packer.pack(*entries)
-    except struct.error:  # an int beyond int64: numpy's conversion raises its OverflowError
-        return np.array(entries, np_dtype).reshape(shape)
-    return np.frombuffer(data, np_dtype).copy().reshape(shape)
+        struct.pack_into(f"{a.size}{a.dtype.char}", a, 0, *entries)
+    except struct.error:  # a wrong length or an int beyond int64: numpy's conversion raises
+        return np.array(entries, dtype).reshape(shape)
+    return a
 
 
 _NUMBERS = frozenset((float, int))

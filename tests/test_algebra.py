@@ -292,6 +292,7 @@ def test_public_surface():
         "theta_numeric", "xl_decompose", "xl_matrix"]
     for name in xpoincare.__all__:
         assert getattr(xpoincare, name) is not None, name
+    assert set(xpoincare.__all__) <= set(dir(xpoincare))
     gone = {"algebra": ("ETA", "ETA_INT", "EPS3", "commutator", "_F_FLOAT"),
             "poincare": ("vector_to_params",), "_names": ("_lazy_constants",),
             "xlorentz": ("ETA",)}  # its __getattr__ answers as a plain module does

@@ -233,6 +233,25 @@ def test_inverse_translation_is_minus_d_transpose_t(dirac, monkeypatch):
     _assert_identical([*got.a, got.alpha], _entries(-D.T * t))
 
 
+def test_inverse_extended_lorentz_part_is_lambda_inverse_and_minus_theta(dirac, monkeypatch):
+    # w, theta and the 16 entries of Lambda free, with Lambda^-1 = eta
+    # Lambda^T eta: omega' = -Lambda^-1 omega, u' = -Lambda^-1[1:, 0] (the
+    # boost of Lambda^-1) and theta' = -theta
+    from types import SimpleNamespace
+    w, _, _, _ = dirac
+    L = _symbols("l", 4)
+    theta = sympy.symbols("th:3")
+    monkeypatch.setattr(poincare, "_lorentz_entries", lambda u, th: _entries(L))
+    _element_stand_ins(monkeypatch)
+    xl = SimpleNamespace(_omega=w, _u=(0.0,) * 3, _theta=theta)
+    got = poincare.inverse(_stand_in(sympy.symbols("t:5"), xl)).xl
+    eta = sympy.diag(-1, 1, 1, 1)
+    inv = eta * L.T * eta
+    _assert_identical(got.omega, _entries(-inv * sympy.Matrix(w)))
+    _assert_identical(got.u, _entries(-inv[1:, 0]))
+    _assert_identical(got.theta, [-x for x in theta])
+
+
 def test_compose_translation_is_t2_plus_b_d2_b_t1(monkeypatch):
     # D2 (the D of both factors), t2 and t1 free; the extended-Lorentz part
     # of the product is not read

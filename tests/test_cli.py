@@ -35,6 +35,11 @@ def test_parse_defaults_and_roundtrip():
                    "u": [0, 0, 0], "theta": [0, 0, 0]}
     g2 = parse_element_obj(json.loads(canonical_json(doc)))
     assert element_doc(g2) == doc
+    assert canonical_json({}) == "{}" and canonical_json([]) == "[]"
+    with pytest.raises(TypeError):
+        canonical_json(object())
+    with pytest.raises(ValueError):
+        canonical_json(float("inf"))
 
 
 @pytest.mark.parametrize("doc", [
@@ -517,12 +522,14 @@ def test_malformed_constants_exit_2_naming_the_entry(tmp_path, capsys, table, na
     assert err.startswith("error: ") and err.count("\n") == 1 and named in err
 
 
-@pytest.mark.parametrize("trials", ["0", "-3"])
-def test_check_rejects_trials_below_one(capsys, trials):
+@pytest.mark.parametrize("trials, named", [
+    ("0", "--trials: must be at least 1"), ("-3", "--trials: must be at least 1"),
+    ("abc", "invalid int value: 'abc'")], ids=["0", "-3", "abc"])
+def test_check_rejects_trials_below_one(capsys, trials, named):
     with pytest.raises(SystemExit) as exc:
         main(["check", "--suite", "jacobi", "--trials", trials])
     assert exc.value.code == 2
-    assert "--trials: must be at least 1" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
 
 
 def test_check_prints_non_finite_residual_as_null(monkeypatch, capsys):

@@ -353,10 +353,15 @@ def test_matrix_edges_return_fresh_arrays():
         m1, m2 = fn(), fn()
         for m in (m1, m2):
             assert m.shape == shape and m.dtype == dtype, name
-            assert m.flags.c_contiguous and m.flags.writeable, name
+            assert m.flags.c_contiguous and m.flags.writeable and m.flags.owndata, name
         assert not np.shares_memory(m1, m2), name
         m1[...] = 0
         assert np.array_equal(m2, fn(), equal_nan=dtype == np.float64), name
+    # the packer counts the array's size, so a list one entry short or long
+    # is refused and never packed into part of an array
+    for n in (224, 226):
+        with pytest.raises(ValueError):
+            _names._ndarray([1.0] * n, (15, 15))
 
 
 def test_theta_closed_matches_array_formulas():
@@ -407,6 +412,9 @@ def test_params_are_immutable_and_pickle():
     for obj, name in ((g, "alpha"), (g, "a"), (g.xl, "omega"), (g.xl, "_u")):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(obj, name, 0.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    assert repr(g).startswith("GroupParams(alpha=") and repr(g.xl) in repr(g)
     h = pickle.loads(pickle.dumps(g))
     assert np.array_equal(params_to_vector(h), params_to_vector(g))
 
