@@ -1,16 +1,22 @@
-"""Symbolic certificates: float kernels run unchanged on sympy symbols and
-are proved equal, for all inputs, to a reference built from the matrix
-definition, instead of sampled.
+"""The float kernels run unchanged on other numbers: certificates on sympy
+symbols, and the rounding oracle on mpmath numbers at 50 digits.
 
-The kernels are straight-line Python arithmetic on flat row-major lists, so
-a kernel fed symbols returns polynomials.  The residual kernels end in
-`_max_abs`, which is patched to return its terms.
+On symbols a kernel is proved equal, for all inputs, to a reference built
+from the matrix definition, instead of sampled.  The kernels are
+straight-line Python arithmetic on flat row-major lists, so a kernel fed
+symbols returns polynomials.  The residual kernels end in `_max_abs`, which
+is patched to return its terms.  At 50 digits a kernel gives the exact value
+of its own formula on its float inputs, which bounds its rounding (the last
+section).
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
+from test_xlorentz import _IDENTITY4, _pinned_draws  # noqa: E402
 from xpoincare import lorentz, poincare, xlorentz  # noqa: E402
 
 
@@ -80,21 +86,29 @@ def _generator_blocks():
     return G
 
 
+def _xl_stand_in(omega=(0.0,) * 4, u=(0.0,) * 3, theta=(0.0,) * 3):
+    """XLParams in the fields the kernels read, kept as given, not as floats."""
+    return SimpleNamespace(_omega=tuple(omega), _u=tuple(u), _theta=tuple(theta))
+
+
 def _stand_in(t, xl=None):
-    """An element with translation 5-vector t = (a, alpha) and extended-
-    Lorentz part xl, for a kernel that reads only those fields."""
-    from types import SimpleNamespace
+    """An element (t = (a, alpha), xl) in the fields the kernels read."""
     return SimpleNamespace(_a=tuple(t[:4]), alpha=t[4], xl=xl)
+
+
+def _element_stand_ins(monkeypatch):
+    """The stand-ins in poincare and xlorentz, for elements of symbols or mpf."""
+    for module in (poincare, xlorentz):
+        monkeypatch.setattr(module, "XLParams", _xl_stand_in)
+    monkeypatch.setattr(poincare, "GroupParams", lambda alpha, a, xl: _stand_in((*a, alpha), xl))
 
 
 def test_oplus_entries_are_the_adjoint_and_translation_rows(monkeypatch):
     # D and t = (a, alpha) free
-    from types import SimpleNamespace
     D = _symbols("d", 5)
     t = sympy.Matrix(sympy.symbols("t:5"))
     monkeypatch.setattr(poincare, "_xl_entries", lambda omega, lam: _entries(D))
-    xl = SimpleNamespace(_omega=(0.0,) * 4, _u=(0.0,) * 3, _theta=(0.0,) * 3)
-    got = poincare._oplus_entries(_stand_in(t, xl))
+    got = poincare._oplus_entries(_stand_in(t, _xl_stand_in()))
     G = _generator_blocks()
     B = sympy.diag(1, -1, -1, -1, 1)
     want = []
@@ -159,7 +173,6 @@ def lorentz_symbols(monkeypatch):
     """The kernels' s(q) and h(q) patched to the free symbols S and H, and
     the module's `math` to a stand-in whose sqrt records its argument and
     returns the free symbol U0 (u0 = sqrt(1 + |u|^2)), and whose inf is oo."""
-    from types import SimpleNamespace
     S, H, U0 = sympy.symbols("S H U0")
     roots = []
 
@@ -208,63 +221,87 @@ def test_boost_strip_is_the_inverse_boost_times_m(lorentz_symbols):
     _assert_identical_given_u0(lorentz._boost_strip(_entries(M)), _entries(want), U0, u, roots)
 
 
-def _element_stand_ins(monkeypatch):
-    """poincare's XLParams and GroupParams patched to stand-ins that keep
-    their arguments, so that a kernel may build elements of symbols."""
-    from types import SimpleNamespace
-    monkeypatch.setattr(poincare, "XLParams", lambda omega, u, theta: SimpleNamespace(
-        omega=omega, u=u, theta=theta))
-    monkeypatch.setattr(poincare, "GroupParams", lambda alpha, a, xl: SimpleNamespace(
-        alpha=alpha, a=a, xl=xl))
+def test_sheet_one_conjugation_flips_spatial_omega_and_u(lorentz_symbols, monkeypatch):
+    # F D(w, u, theta) F = D((w0, -w1, -w2, -w3), -u, theta), F = W(pi e0) of sheet 1
+    # (M = F W L R), on free w, u, theta, u0 and s, h of W and R (no reduction needed).
+    # No kernel sign flip breaks it: each term is even or odd in (w1..3, u) as F D F needs
+    _, _, _, roots = lorentz_symbols
+    Sw, Hw = sympy.symbols("Sw Hw")
+    monkeypatch.setattr(xlorentz, "trig_s", lambda q: Sw)
+    monkeypatch.setattr(xlorentz, "trig_h", lambda q: Hw)
+    w, u, th = sympy.symbols("w:4"), sympy.symbols("u:3"), sympy.symbols("th:3")
+    F = sympy.diag(-1, 1, 1, 1, -1)
+    D = sympy.Matrix(5, 5, xlorentz._xl_entries(w, lorentz._lorentz_entries(u, th)))
+    flipped = xlorentz._xl_entries((w[0], -w[1], -w[2], -w[3]),
+                                   lorentz._lorentz_entries([-x for x in u], th))
+    assert [sympy.expand(x - 1 - sum(v * v for v in u)) for x in roots] == [0, 0]
+    _assert_identical(_entries(F * D * F), flipped)
 
 
 def test_inverse_translation_is_minus_d_transpose_t(dirac, monkeypatch):
     # w, t and the 16 entries of Lambda free: (a', alpha') = -D^T t with
     # D = W(w) diag(Lambda, 1), W = 1 + S g + H g^2
-    from types import SimpleNamespace
     w, g, S, H = dirac
     L = _symbols("l", 4)
     t = sympy.Matrix(sympy.symbols("t:5"))
     monkeypatch.setattr(poincare, "_lorentz_entries", lambda u, theta: _entries(L))
     _element_stand_ins(monkeypatch)
-    xl = SimpleNamespace(_omega=w, _u=(0.0,) * 3, _theta=(0.0,) * 3)
-    got = poincare.inverse(_stand_in(t, xl))
+    got = poincare.inverse(_stand_in(t, _xl_stand_in(w)))
     D = (sympy.eye(5) + S * g + H * g * g) * sympy.diag(L, 1)
-    _assert_identical([*got.a, got.alpha], _entries(-D.T * t))
+    _assert_identical([*got._a, got.alpha], _entries(-D.T * t))
 
 
 def test_inverse_extended_lorentz_part_is_lambda_inverse_and_minus_theta(dirac, monkeypatch):
     # w, theta and the 16 entries of Lambda free, with Lambda^-1 = eta
     # Lambda^T eta: omega' = -Lambda^-1 omega, u' = -Lambda^-1[1:, 0] (the
     # boost of Lambda^-1) and theta' = -theta
-    from types import SimpleNamespace
     w, _, _, _ = dirac
     L = _symbols("l", 4)
     theta = sympy.symbols("th:3")
     monkeypatch.setattr(poincare, "_lorentz_entries", lambda u, th: _entries(L))
     _element_stand_ins(monkeypatch)
-    xl = SimpleNamespace(_omega=w, _u=(0.0,) * 3, _theta=theta)
-    got = poincare.inverse(_stand_in(sympy.symbols("t:5"), xl)).xl
+    got = poincare.inverse(_stand_in(sympy.symbols("t:5"), _xl_stand_in(w, theta=theta))).xl
     eta = sympy.diag(-1, 1, 1, 1)
     inv = eta * L.T * eta
-    _assert_identical(got.omega, _entries(-inv * sympy.Matrix(w)))
-    _assert_identical(got.u, _entries(-inv[1:, 0]))
-    _assert_identical(got.theta, [-x for x in theta])
+    _assert_identical(got._omega, _entries(-inv * sympy.Matrix(w)))
+    _assert_identical(got._u, _entries(-inv[1:, 0]))
+    _assert_identical(got._theta, [-x for x in theta])
 
 
 def test_compose_translation_is_t2_plus_b_d2_b_t1(monkeypatch):
     # D2 (the D of both factors), t2 and t1 free; the extended-Lorentz part
     # of the product is not read
-    from types import SimpleNamespace
     D2 = _symbols("d", 5)
     t2, t1 = sympy.Matrix(sympy.symbols("t:5")), sympy.Matrix(sympy.symbols("s:5"))
     monkeypatch.setattr(poincare, "_xl_entries", lambda omega, lam: _entries(D2))
     monkeypatch.setattr(poincare, "_xl_decompose", lambda d: None)
     _element_stand_ins(monkeypatch)
-    xl = SimpleNamespace(_omega=(0.0,) * 4, _u=(0.0,) * 3, _theta=(0.0,) * 3)
-    got = poincare.compose(_stand_in(t2, xl), _stand_in(t1, xl))
+    got = poincare.compose(_stand_in(t2, _xl_stand_in()), _stand_in(t1, _xl_stand_in()))
     B = sympy.diag(1, -1, -1, -1, 1)
-    _assert_identical([*got.a, got.alpha], _entries(t2 + B * D2 * B * t1))
+    _assert_identical([*got._a, got.alpha], _entries(t2 + B * D2 * B * t1))
+
+
+def test_theta_closed_rows_are_derivatives_of_compose(monkeypatch):
+    # row r of theta_closed is d/de at e = 0 of compose(e e_r, g), t free, with D2
+    # built by the kernels along e_r (s = 1, h = 1/2, u0 = 1 are exact to first
+    # order); in the (a, alpha) rows D2 = 1 and D2 D1 does not move
+    e = sympy.Symbol("e")
+    for module in (lorentz, xlorentz):
+        monkeypatch.setattr(module, "trig_s", lambda q: 1)
+        monkeypatch.setattr(module, "trig_h", lambda q: sympy.Rational(1, 2))
+    monkeypatch.setattr(lorentz, "math", SimpleNamespace(sqrt=lambda x: 1, inf=sympy.oo))
+    products = []
+    monkeypatch.setattr(poincare, "_xl_decompose", products.append)
+    _element_stand_ins(monkeypatch)
+    g = _stand_in(sympy.symbols("t:5"), _xl_stand_in())
+    claimed = poincare._theta_closed_entries(g)
+    for r in range(15):
+        got = poincare.compose(poincare._from_vector([e if k == r else 0 for k in range(15)]), g)
+        row = [sympy.diff(x, e).subs(e, 0) for x in (*got._a, got.alpha)]
+        _assert_identical(row, claimed[15 * r + 10:15 * r + 15])
+        if r >= 10:
+            assert not any(sympy.diff(x, e) for x in products[-1]), r
+            assert claimed[15 * r:15 * r + 10] == [0.0] * 10, r
 
 
 def test_dirac_boost_preserves_b_given_the_relation_of_s_and_h(dirac):
@@ -279,3 +316,92 @@ def test_dirac_boost_preserves_b_given_the_relation_of_s_and_h(dirac):
     for k, x in enumerate(_entries(W.T * B * W - B)):
         _, rest = sympy.reduced(sympy.expand(x), [relation], S, H, *w)
         assert rest == 0, f"entry {k}: {rest}"
+
+
+# --- the rounding oracle: the kernels call every function through the module `math`, so
+# on mpf values they give their formula's exact value on the same float inputs.
+
+
+@pytest.fixture
+def at50(monkeypatch, terms):
+    """run(kernel, *args) at 50 digits on the exact values of float arguments,
+    with the `math` of lorentz and xlorentz (as in `lorentz_symbols`) mpmath,
+    whose sqrt, sin, sinh, atan2, asinh, inf, nan and isnan stand in."""
+    import mpmath  # a dependency of sympy
+
+    def mpf(x):
+        if hasattr(x, "xl"):  # under the stand-ins, _from_vector keeps mpf values
+            return poincare._from_vector(mpf(poincare._vector(x)))
+        return mpmath.mpf(x) if isinstance(x, float) else [mpf(v) for v in x]
+
+    def run(kernel, *args):
+        with monkeypatch.context() as m, mpmath.workdps(50):
+            _element_stand_ins(m)
+            for module in (lorentz, xlorentz):
+                m.setattr(module, "math", mpmath)
+            return kernel(*map(mpf, args))
+    return run
+
+
+def _size(xs):
+    return max(map(abs, xs))
+
+
+def _rounding_inputs():
+    """Each kernel's float arguments and error scale, from 100 narrow, 100 wide
+    and 36 pinned elements: Lambda at 1, 15 and 1500 times u (|u| to 3e3), D2,
+    D1, omega read off D2 D1 as xl_decompose does, and D2 D1 moved by 1e-3."""
+    import numpy as np
+    from xpoincare.checks import sample_params
+    rng = np.random.default_rng(44)
+    els = [sample_params(rng, w) for w in [False] * 100 + [True] * 100] + [*_pinned_draws(rng, 4)]
+    cases = {name: [] for name in ROUNDING}
+    ds = [xlorentz.xl_matrix(g.xl).ravel().tolist() for g in els]
+    for g, d in zip(els, ds):
+        scale = max(1.0, _size(d) ** 2 * max(1.0, _size([*g._a, g.alpha])))
+        cases["oplus_entries"].append(((g,), scale))
+        cases["inverse"].append(((g,), scale))
+        for f in (1.0, 15.0, 1500.0):
+            lam = lorentz._lorentz_entries([f * x for x in g.xl._u], g.xl._theta)
+            cases["boost_strip"].append(((lam,), max(1.0, _size(lam) ** 2)))
+    for d2, d1 in zip(ds, ds[1:]):
+        rows = [d2[i:i + 5] for i in range(0, 25, 5)]
+        m = poincare._matmul5(rows, d1)
+        cases["matmul5"].append(((rows, d1), max(1.0, _size(d2) * _size(d1))))
+        # |W(-omega)| |M| times the condition of q, whose rounding reaches s(q), h(q):
+        # without it seed 46 read 2.4e8 at M[Gs, Gs] = -1 + 9e-10, |omega| = 9.9e4
+        omega = xlorentz._omega_from_gs_column(*m[4::5])
+        q, _, _ = xlorentz._dirac_coefficients(*omega)
+        w = _size(xlorentz._xl_entries([-x for x in omega], _IDENTITY4))
+        kappa = max(1.0, sum(x * x for x in omega) / max(1.0, abs(q)))
+        cases["dirac_strip"].append(((omega, m), max(1.0, w * _size(m) * kappa)))
+        for x in (d1, m, (np.array(m) + rng.normal(size=25) * 1e-3).tolist(),
+                  rng.normal(size=25).tolist()):
+            lam = x[0:4] + x[5:9] + x[10:14] + x[15:19]
+            cases["b_residual"].append(((x,), max(1.0, _size(x) ** 2)))
+            cases["metric_residual"].append(((lam,), max(1.0, _size(lam) ** 2)))
+    return cases
+
+
+# name: (kernel, k), in eps times the scale above; beside each k the worst
+# seen over seeds 44 and 46-49.  Each k is the bound of the test it replaced
+ROUNDING = {
+    "b_residual": (xlorentz._b_residual, 16),  # 2.0
+    "metric_residual": (lorentz._metric_residual, 16),  # 2.4
+    "matmul5": (poincare._matmul5, 16),  # 2.0
+    "dirac_strip": (xlorentz._dirac_strip, 16),  # 2.2
+    "boost_strip": (lorentz._boost_strip, 8),  # 1.4
+    "oplus_entries": (poincare._oplus_entries, 32),  # 3.8
+    "inverse": (lambda g: poincare._vector(poincare.inverse(g)), 32),  # 6.3
+}
+
+
+def test_float_kernels_round_within_k_eps_of_their_50_digit_run(at50):
+    worst = dict.fromkeys(ROUNDING, 0.0)
+    for name, cases in _rounding_inputs().items():
+        kernel, _ = ROUNDING[name]
+        for args, scale in cases:
+            got, want = kernel(*args), at50(kernel, *args)
+            err = max(abs(g - w) for g, w in zip(got, want, strict=True))
+            worst[name] = max(worst[name], float(err) / (2.0 ** -52 * scale))
+    assert all(worst[name] <= k for name, (_, k) in ROUNDING.items()), worst

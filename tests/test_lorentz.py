@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import invariance_residual
-from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError,
-                               _boost_strip, _det3, lorentz_decompose, lorentz_matrix,
-                               metric_residual, rapidity, trig_h, trig_s)
+from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError, _det3,
+                               lorentz_decompose, lorentz_matrix, metric_residual, rapidity,
+                               trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
 from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
 
@@ -265,19 +265,6 @@ def test_canonical_sign_cut_both_sides(a, expected):
     u, theta = lorentz_decompose(M)
     assert u.tolist() == [0.0, 0.0, 0.0]
     np.testing.assert_allclose(theta / math.pi, expected, rtol=1e-6, atol=0.0)
-
-
-def test_boost_strip_matches_matrix_product():
-    # the rank-one strip R = L(-u) M against its matrix-product oracle, up to
-    # |u| = 3e3 (test_decompose_accepts_large_boosts); measured worst 1.7
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(41)
-    for size in (None, 0.1, 1.0, 30.0, 3e3):
-        for _ in range(200):
-            M = lorentz_matrix(random_theta(rng, size), random_theta(rng))
-            ref = lorentz_matrix(M[1:, 0], np.zeros(3)) @ M
-            err = np.abs(np.array(_boost_strip(M.ravel().tolist())).reshape(4, 4) - ref).max()
-            assert err <= 8 * eps * max(1.0, np.abs(M).max() ** 2)
 
 
 def test_decompose_rejections():

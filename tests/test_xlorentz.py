@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, exp_ad
 from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
-from xpoincare.lorentz import (DecompositionError, lorentz_decompose, lorentz_matrix,
-                               metric_residual, trig_h, trig_s)
-from xpoincare.poincare import GroupParams, _matmul5, compose, inverse, oplus
-from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, _dirac_strip,
-                                _omega_from_gs_column, _xl_entries, b_residual,
+from xpoincare.lorentz import DecompositionError, lorentz_decompose, lorentz_matrix, trig_h, trig_s
+from xpoincare.poincare import GroupParams, compose, inverse, oplus
+from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, _xl_entries, b_residual,
                                 xl_decompose, xl_matrix)
 
 _IDENTITY4 = (1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0,
@@ -587,15 +585,9 @@ def test_axis_angle_cut_both_sides(cut):
             assert _roundtrip_in_eps(left @ M) < ROUNDTRIP_K
 
 
-# --- closed forms against the products they replace --------------------------
-# xl_matrix, inverse and oplus are closed forms; the small-matrix products
-# they replace stay here as their oracles.  Scale of an element:
-# max(1, |D|^2 max(1, |t|)), t = (a, alpha).  Worst seen over the draws
-# below: 1.5 eps for the adjoint, 1.3 eps for the translation block of
-# oplus; for inverse 5.0 eps on the sampled
-# draws and 11.5 eps on the pinned ones.  There the rebuild of D from the
-# inverted parameters dominates: an inverse that takes D^-1 = B D^T B from
-# one matrix build reads the same 11.5 eps.  k = 32.
+# --- the closed forms xl_matrix, inverse and oplus against independent routes:
+# table lookups into outer(D, D) and 40-digit matrix definitions.  Scale of an
+# element: max(1, |D|^2 max(1, |t|)), t = (a, alpha).  k = 32.
 
 CLOSED_FORM_K = 32
 PIN_TRIG_R = (0.0, 1e-9, 1e-6)       # trig r = pi - these
@@ -623,36 +615,8 @@ def _closed_form_draws():
     yield from _pinned_draws(rng, 20)
 
 
-def _element_scale(d, t=0.0):
-    return EPS * max(1.0, np.abs(d).max() ** 2 * max(1.0, np.abs(t).max()))
-
-
 # G_A, the images of the ten extended-Lorentz generators on the (P, Gs) block
 _G5 = F_FLOAT[:10, 10:, 10:]
-
-
-def test_adjoint10_matches_basis_expansion():
-    # oracle: 0.5 <G_C, D^-1 G_A D> over the generator basis; t does not enter
-    g5_dual = 0.5 * _G5.reshape(10, 25)
-    worst = 0.0
-    for g in _closed_form_draws():
-        d = xl_matrix(g.xl)
-        ref = (BFORM @ d.T @ BFORM @ _G5 @ d).reshape(10, 25) @ g5_dual.T
-        err = np.abs(oplus(g)[:10, :10] - ref).max()
-        worst = max(worst, err / _element_scale(d))
-    assert worst <= CLOSED_FORM_K, worst
-
-
-def test_oplus_translation_block_matches_matrix_product():
-    # oracle: (sum_b t_b F_b)[:10, (P, Gs)] D, F_b the adjoint matrices of
-    # P0..P3, Gs, as one matrix product; the float core reads two terms a row
-    f_trans = F_FLOAT[10:, :10, 10:].reshape(5, 50)
-    worst = 0.0
-    for g in _closed_form_draws():
-        d, t = xl_matrix(g.xl), np.array([*g.a, g.alpha])
-        ref = (t @ f_trans).reshape(10, 5) @ d
-        worst = max(worst, np.abs(oplus(g)[:10, 10:] - ref).max() / _element_scale(d, t))
-    assert worst <= CLOSED_FORM_K, worst
 
 
 def _minor_tables():
@@ -679,18 +643,6 @@ def test_oplus_matches_minor_tables_bit_for_bit():
         outer = np.outer(d, d).ravel()
         assert o[:10, :10].tobytes() == (outer[plus] - outer[minus]).tobytes()
         assert o[10:, 10:].tobytes() == d.tobytes() and not o[10:, :10].any()
-
-
-def test_inverse_matches_matrix_route():
-    # oracle: D^-1 = B D^T B and t' = -D^T t from one build of D
-    worst = 0.0
-    for g in _closed_form_draws():
-        d, t = xl_matrix(g.xl), np.array([*g.a, g.alpha])
-        gi = inverse(g)
-        err = max(np.abs(xl_matrix(gi.xl) - BFORM @ d.T @ BFORM).max(),
-                  np.abs(np.array([*gi.a, gi.alpha]) + d.T @ t).max())
-        worst = max(worst, err / _element_scale(d, t))
-    assert worst <= CLOSED_FORM_K, worst
 
 
 def _mp_element(mp, g):
@@ -760,7 +712,7 @@ def test_xl_matrix_and_inverse_match_mpmath(kind):
     # 40-digit references from the same float64 parameters: D = W diag(L R, 1)
     # against xl_matrix, and B D^T B and -D^T t against inverse.  Bounds in
     # eps: xl_matrix against max(1, max|W| max|L R|), the size of its
-    # factors; inverse against the element scale of the oracle tests above.
+    # factors; inverse against the element scale above.
     # Worst seen: 5.3 eps for xl_matrix and 7.0 eps for inverse; k = 32.
     mp = pytest.importorskip("mpmath")
     b = mp.diag([1, -1, -1, -1, 1])
@@ -776,72 +728,6 @@ def test_xl_matrix_and_inverse_match_mpmath(kind):
             scale = max(1, max(abs(x) for x in d) ** 2 * max(1, max(abs(x) for x in t)))
             worst_inv = max(worst_inv, float(err / scale) / EPS)
     assert worst_d <= CLOSED_FORM_K and worst_inv <= CLOSED_FORM_K
-
-
-# --- the float kernels of the group law against the numpy products they replaced
-# Draws: D2 D1 and D1 of 2000 narrow and 2000 wide sample_params pairs; the
-# residuals also see D2 D1 plus a 1e-3 perturbation and a random matrix,
-# where they are of order one.  Bound k eps max(1, |M|^2), M the input (for
-# the strip, |W(-omega)| |M|: omega recovered from a product outside the
-# chart can give |W| far above |M|).  Worst seen over three seeds: 5.1 eps
-# (b_residual), 4.4 (metric_residual), 2.4 (the product), 3.6 (the strip).
-
-FLOAT_KERNEL_K = 16
-
-
-def _kernel_draws():
-    rng = np.random.default_rng(43)
-    for wide in (False, True):
-        for _ in range(2000):
-            d2, d1 = (xl_matrix(sample_params(rng, wide).xl) for _ in range(2))
-            yield rng, d2, d1
-
-
-def _residual_inputs():
-    for rng, d2, d1 in _kernel_draws():
-        m = d2 @ d1
-        yield from (d1, m, m + rng.normal(size=(5, 5)) * 1e-3, rng.normal(size=(5, 5)))
-
-
-def test_b_residual_matches_matrix_product():
-    worst = 0.0
-    for m in _residual_inputs():
-        ref = np.abs(m.T @ BFORM @ m - BFORM).max()
-        worst = max(worst, abs(b_residual(m) - ref) / (EPS * max(1.0, np.abs(m).max() ** 2)))
-    assert worst <= FLOAT_KERNEL_K, worst
-
-
-def test_metric_residual_matches_matrix_product():
-    worst = 0.0
-    for m in _residual_inputs():
-        lam = m[:4, :4]
-        ref = np.abs(lam.T @ ETA @ lam - ETA).max()
-        err = abs(metric_residual(lam) - ref) / (EPS * max(1.0, np.abs(lam).max() ** 2))
-        worst = max(worst, err)
-    assert worst <= FLOAT_KERNEL_K, worst
-
-
-def test_float_product_matches_matmul():
-    worst = 0.0
-    for _, d2, d1 in _kernel_draws():
-        got = np.array(_matmul5(d2.tolist(), d1.ravel().tolist())).reshape(5, 5)
-        scale = EPS * max(1.0, max(np.abs(d2).max(), np.abs(d1).max()) ** 2)
-        worst = max(worst, np.abs(got - d2 @ d1).max() / scale)
-    assert worst <= FLOAT_KERNEL_K, worst
-
-
-def test_dirac_strip_matches_matrix_product():
-    # the rank-one W(-omega) M of xl_decompose, omega read off the Gs column
-    # as xl_decompose reads it
-    worst = 0.0
-    for _, d2, d1 in _kernel_draws():
-        m = d2 @ d1
-        omega = _omega_from_gs_column(*m[:, 4].tolist())
-        got = np.array(_dirac_strip(omega, m.ravel().tolist())).reshape(5, 5)
-        w = xl_matrix(XLParams(-np.array(omega)))
-        scale = EPS * max(1.0, np.abs(w).max() * np.abs(m).max())
-        worst = max(worst, np.abs(got - w @ m).max() / scale)
-    assert worst <= FLOAT_KERNEL_K, worst
 
 
 # --- xl_decompose over canonical narrow parameters, searched by hypothesis -----
