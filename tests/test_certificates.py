@@ -5,19 +5,25 @@ On symbols a kernel is proved equal, for all inputs, to a reference built
 from the matrix definition, instead of sampled.  The kernels are
 straight-line Python arithmetic on flat row-major lists, so a kernel fed
 symbols returns polynomials.  The residual kernels end in `_max_abs`, which
-is patched to return its terms.  At 50 digits a kernel gives the exact value
-of its own formula on its float inputs, which bounds its rounding (the last
-section).
+`_terms` patches to return its terms.  At 50 digits a kernel gives the exact
+value of its own formula on its float inputs, which bounds its rounding (the
+last section).
 """
 
+import contextlib
+import math
 from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from test_xlorentz import _IDENTITY4, _pinned_draws  # noqa: E402
-from xpoincare import lorentz, poincare, xlorentz  # noqa: E402
+from test_lorentz import random_theta  # noqa: E402
+from test_xlorentz import _IDENTITY4, _pinned_draws, trig_direction  # noqa: E402
+from xpoincare import algebra, lorentz, poincare, xlorentz  # noqa: E402
+from xpoincare.checks import sample_omega, sample_params  # noqa: E402
 
 
 def _symbols(name, n):
@@ -43,11 +49,13 @@ def _assert_identical(got, want):
         assert sympy.expand(g - w).is_zero, f"term {k}: {g} != {w}"
 
 
-@pytest.fixture
-def terms(monkeypatch):
-    """The residual kernels return their terms, not max |term|."""
-    for module in (lorentz, xlorentz):
-        monkeypatch.setattr(module, "_max_abs", lambda xs: xs)
+def _terms(kernel):
+    """kernel with `_max_abs` returning the terms, not max |term|."""
+    def run(*args):
+        with mock.patch.object(lorentz, "_max_abs", list), \
+                mock.patch.object(xlorentz, "_max_abs", list):
+            return kernel(*args)
+    return run
 
 
 def test_det3_is_the_determinant():
@@ -55,16 +63,16 @@ def test_det3_is_the_determinant():
     _assert_identical([lorentz._det3(_entries(M))], [M.det()])
 
 
-def test_metric_residual_is_the_upper_triangle_of_its_definition(terms):
+def test_metric_residual_is_the_upper_triangle_of_its_definition():
     M = _symbols("m", 4)
     eta = sympy.diag(-1, 1, 1, 1)
-    _assert_identical(lorentz._metric_residual(_entries(M)), _upper(M.T * eta * M - eta))
+    _assert_identical(_terms(lorentz._metric_residual)(_entries(M)), _upper(M.T * eta * M - eta))
 
 
-def test_b_residual_is_the_upper_triangle_of_its_definition(terms):
+def test_b_residual_is_the_upper_triangle_of_its_definition():
     M = _symbols("m", 5)
     B = sympy.diag(1, -1, -1, -1, 1)
-    _assert_identical(xlorentz._b_residual(_entries(M)), _upper(M.T * B * M - B))
+    _assert_identical(_terms(xlorentz._b_residual)(_entries(M)), _upper(M.T * B * M - B))
 
 
 def test_matmul5_is_the_matrix_product():
@@ -124,7 +132,6 @@ def test_oplus_entries_are_the_adjoint_and_translation_rows(monkeypatch):
 def test_theta_closed_entries_are_the_translation_rows():
     # t = (a, alpha) free: row A is NaN on the 10x10 block and -t^T G_A on
     # the (P, Gs) columns; the (P, Gs) rows are (0, I)
-    import math
     t = sympy.Matrix(sympy.symbols("t:5"))
     got = poincare._theta_closed_entries(_stand_in(t))
     assert len(got) == 225
@@ -323,7 +330,7 @@ def test_dirac_boost_preserves_b_given_the_relation_of_s_and_h(dirac):
 
 
 @pytest.fixture
-def at50(monkeypatch, terms):
+def at50(monkeypatch):
     """run(kernel, *args) at 50 digits on the exact values of float arguments,
     with the `math` of lorentz and xlorentz (as in `lorentz_symbols`) mpmath,
     whose sqrt, sin, sinh, atan2, asinh, inf, nan and isnan stand in."""
@@ -347,53 +354,138 @@ def _size(xs):
     return max(map(abs, xs))
 
 
+def _kappa(omega):
+    """max(1, |omega|^2 / max(1, |q|)), the condition of q = omega_nu omega^nu."""
+    q, _, _ = xlorentz._dirac_coefficients(*omega)
+    return max(1.0, sum(x * x for x in omega) / max(1.0, abs(q)))
+
+
+def _compose_scale(d2, m, *gs):
+    """max(1, |D2|, (|W(-omega)| |M|)^2) max(1, |t|) kappa of M = D2 D1, omega read
+    off M and t the translations of gs: t2 + B D2 B t1 rounds on |D2| |t|,
+    E = W(-omega) M on |W(-omega)| |M| kappa, and the boost strip of E on |E|^2."""
+    omega = xlorentz._omega_from_gs_column(*m[4::5])
+    w = _size(xlorentz._xl_entries([-x for x in omega], _IDENTITY4))
+    t = [x for g in gs for x in (*g._a, g.alpha)]
+    return max(1.0, _size(d2), (w * _size(m)) ** 2) * max(1.0, _size(t)) * _kappa(omega)
+
+
+def _factor_draws(rng):
+    """(omega, u, theta) of rotations (|theta| = pi once), boosts with |u| from 1e-3
+    to 1e3, and W(omega) on each branch and at trig r = pi - (0, 1e-12, 1e-6, 1e-3)."""
+    z3, z4 = (0.0,) * 3, (0.0,) * 4
+    for i in range(40):
+        yield z4, z3, random_theta(rng, math.pi if i == 0 else None).tolist()
+        yield z4, (rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)).tolist(), z3
+        for kind in ("trig", "hyperbolic", "null"):
+            yield sample_omega(rng, kind).tolist(), z3, z3
+        yield (trig_direction(rng) * (math.pi - (0.0, 1e-12, 1e-6, 1e-3)[i % 4])).tolist(), z3, z3
+
+
 def _rounding_inputs():
     """Each kernel's float arguments and error scale, from 100 narrow, 100 wide
     and 36 pinned elements: Lambda at 1, 15 and 1500 times u (|u| to 3e3), D2,
-    D1, omega read off D2 D1 as xl_decompose does, and D2 D1 moved by 1e-3."""
-    import numpy as np
-    from xpoincare.checks import sample_params
+    D1, omega read off D2 D1 as xl_decompose does, D2 D1 moved by 1e-3, and
+    the pairs compose accepts; then single factors and general 3x3 matrices."""
     rng = np.random.default_rng(44)
     els = [sample_params(rng, w) for w in [False] * 100 + [True] * 100] + [*_pinned_draws(rng, 4)]
     cases = {name: [] for name in ROUNDING}
     ds = [xlorentz.xl_matrix(g.xl).ravel().tolist() for g in els]
+    columns, rotations = [], []
     for g, d in zip(els, ds):
         scale = max(1.0, _size(d) ** 2 * max(1.0, _size([*g._a, g.alpha])))
-        cases["oplus_entries"].append(((g,), scale))
+        cases["_oplus_entries"].append(((g,), scale))
         cases["inverse"].append(((g,), scale))
         for f in (1.0, 15.0, 1500.0):
             lam = lorentz._lorentz_entries([f * x for x in g.xl._u], g.xl._theta)
-            cases["boost_strip"].append(((lam,), max(1.0, _size(lam) ** 2)))
-    for d2, d1 in zip(ds, ds[1:]):
+            cases["_boost_strip"].append(((lam,), max(1.0, _size(lam) ** 2)))
+    for g, d in zip(els[0:200:40], ds[0:200:40]):
+        # compose(e, g) with e within THETA_STEP of the identity (D2 ~ 1), its
+        # rounding divided by THETA_STEP in the central difference
+        cases["_theta_numeric"].append(((g,), _compose_scale([1.0], d, g) / poincare.THETA_STEP))
+    for g2, g1, d2, d1 in zip(els, els[1:], ds, ds[1:]):
         rows = [d2[i:i + 5] for i in range(0, 25, 5)]
         m = poincare._matmul5(rows, d1)
-        cases["matmul5"].append(((rows, d1), max(1.0, _size(d2) * _size(d1))))
+        cases["_matmul5"].append(((rows, d1), max(1.0, _size(d2) * _size(d1))))
         # |W(-omega)| |M| times the condition of q, whose rounding reaches s(q), h(q):
         # without it seed 46 read 2.4e8 at M[Gs, Gs] = -1 + 9e-10, |omega| = 9.9e4
         omega = xlorentz._omega_from_gs_column(*m[4::5])
-        q, _, _ = xlorentz._dirac_coefficients(*omega)
         w = _size(xlorentz._xl_entries([-x for x in omega], _IDENTITY4))
-        kappa = max(1.0, sum(x * x for x in omega) / max(1.0, abs(q)))
-        cases["dirac_strip"].append(((omega, m), max(1.0, w * _size(m) * kappa)))
+        cases["_dirac_strip"].append(((omega, m), max(1.0, w * _size(m) * _kappa(omega))))
+        e = xlorentz._dirac_strip(omega, m)
+        columns.append(m[4::5])
+        rotations.append(lorentz._boost_strip(e[0:4] + e[5:9] + e[10:14] + e[15:19]))
+        with contextlib.suppress(lorentz.DecompositionError):
+            poincare.compose(g2, g1)
+            cases["compose"].append(((g2, g1), _compose_scale(d2, m, g2, g1)))
         for x in (d1, m, (np.array(m) + rng.normal(size=25) * 1e-3).tolist(),
                   rng.normal(size=25).tolist()):
             lam = x[0:4] + x[5:9] + x[10:14] + x[15:19]
-            cases["b_residual"].append(((x,), max(1.0, _size(x) ** 2)))
-            cases["metric_residual"].append(((lam,), max(1.0, _size(lam) ** 2)))
+            cases["_b_residual"].append(((x,), max(1.0, _size(x) ** 2)))
+            cases["_metric_residual"].append(((lam,), max(1.0, _size(lam) ** 2)))
+    factors = [(g.xl._omega, g.xl._u, g.xl._theta) for g in els] + [*_factor_draws(rng)]
+    for omega, u, theta in factors:
+        lam = lorentz._lorentz_entries(u, theta)
+        cases["_lorentz_entries"].append(((u, theta), max(1.0, lam[0])))
+        w = _size(xlorentz._xl_entries(omega, _IDENTITY4))
+        cases["_xl_entries"].append(((omega, u, theta), max(1.0, w * _size(lam))))
+        columns.append(xlorentz._xl_entries(omega, lam)[4::5])
+        rotations.append(lorentz._boost_strip(lam))
+    for v in columns:
+        omega = xlorentz._omega_from_gs_column(*v)
+        cases["_omega_from_gs_column"].append((v, max(1.0, _size(omega)) * _kappa(omega)))
+    for r in rotations:
+        r3 = r[5:8] + r[9:12] + r[13:16]
+        cases["_axis_angle"].append(((r3,), 1.0))
+        cases["_det3"].append(((r3,), _size(r3) ** 3))
+    for size in (1e-3, 1.0, 1e3):
+        for _ in range(50):
+            r = (rng.normal(size=9) * size).tolist()
+            cases["_det3"].append(((r,), _size(r) ** 3))
     return cases
 
 
 # name: (kernel, k), in eps times the scale above; beside each k the worst
-# seen over seeds 44 and 46-49.  Each k is the bound of the test it replaced
+# seen over seeds 44 and 46-49.  The first seven k are the bounds of the tests
+# they replaced; the rest are the first power of two at or above 1.5 times
+# the worst seen, at most the bound of a test they replaced
 ROUNDING = {
-    "b_residual": (xlorentz._b_residual, 16),  # 2.0
-    "metric_residual": (lorentz._metric_residual, 16),  # 2.4
-    "matmul5": (poincare._matmul5, 16),  # 2.0
-    "dirac_strip": (xlorentz._dirac_strip, 16),  # 2.2
-    "boost_strip": (lorentz._boost_strip, 8),  # 1.4
-    "oplus_entries": (poincare._oplus_entries, 32),  # 3.8
+    "_b_residual": (_terms(xlorentz._b_residual), 16),  # 2.0
+    "_metric_residual": (_terms(lorentz._metric_residual), 16),  # 2.4
+    "_matmul5": (poincare._matmul5, 16),  # 2.0
+    "_dirac_strip": (xlorentz._dirac_strip, 16),  # 2.2
+    "_boost_strip": (lorentz._boost_strip, 8),  # 1.4
+    "_oplus_entries": (poincare._oplus_entries, 32),  # 3.8
     "inverse": (lambda g: poincare._vector(poincare.inverse(g)), 32),  # 6.3
+    "_lorentz_entries": (lorentz._lorentz_entries, 8),  # 3.6
+    "_xl_entries": (lambda omega, u, theta: xlorentz._xl_entries(
+        omega, lorentz._lorentz_entries(u, theta)), 16),  # 8.8
+    "_omega_from_gs_column": (xlorentz._omega_from_gs_column, 2),  # 1.1
+    "_axis_angle": (lorentz._axis_angle, 8),  # 4.2
+    "_det3": (lambda r: [lorentz._det3(r)], 8),  # 2.9
+    "compose": (lambda g2, g1: poincare._vector(poincare.compose(g2, g1)), 8),  # 4.0
+    "_theta_numeric": (poincare._theta_numeric, 1),  # 0.61
 }
+
+# the float core: each kernel has a row above or a reason here
+CORE = ("_xl_entries", "_lorentz_entries", "_matmul5", "_xl_decompose", "_b_residual",
+        "_dirac_strip", "_omega_from_gs_column", "_lorentz_params", "_boost_strip",
+        "_metric_residual", "_axis_angle", "_det3", "_generator_row", "_oplus_entries",
+        "_theta_closed_entries", "_theta_numeric", "_invariance_residual", "_float_entries",
+        "compose", "inverse")
+NO_ROW = {
+    "_generator_row": "reached through _oplus_entries",
+    "_xl_decompose": "reached through compose",
+    "_lorentz_params": "reached through compose",
+    "_theta_closed_entries": "copies signed inputs and zeros",
+    "_invariance_residual": "integer arithmetic",
+    "_float_entries": "does no arithmetic",
+}
+
+
+def test_every_core_kernel_has_a_rounding_row_or_a_reason():
+    assert all(any(hasattr(m, n) for m in (lorentz, xlorentz, poincare, algebra)) for n in CORE)
+    assert sorted(CORE) == sorted([*ROUNDING, *NO_ROW])
 
 
 def test_float_kernels_round_within_k_eps_of_their_50_digit_run(at50):

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import invariance_residual
-from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError, _det3,
-                               lorentz_decompose, lorentz_matrix, metric_residual, rapidity,
-                               trig_h, trig_s)
+from xpoincare.lorentz import (_SERIES_WINDOW, METRIC_TOL, DecompositionError, lorentz_decompose,
+                               lorentz_matrix, metric_residual, rapidity, trig_h, trig_s)
 from xpoincare.poincare import GroupParams, inverse
 from xpoincare.xlorentz import XLParams, b_residual, xl_decompose
 
@@ -181,26 +180,6 @@ def test_generators_match_finite_differences():
         assert np.abs(dr - JG[m]).max() < 1e-8
         dl = (lorentz_matrix(e, np.zeros(3)) - lorentz_matrix(-e, np.zeros(3))) / (2 * h)
         assert np.abs(dl - KG[m]).max() < 1e-8
-
-
-def test_direct_kernels_match_generator_forms():
-    # reference: R = 1 + s a + h a^2 over the generators, and the boost as
-    # identity plus the outer product u u^T / (1 + u0)
-    eps = np.finfo(float).eps
-    rng = np.random.default_rng(10)
-    JG = rotation_generators()
-    for _ in range(200):
-        theta, u = random_theta(rng), rng.normal(size=3) * 2.0
-        a = np.einsum("m,mjk->jk", theta, JG)
-        q = -float(theta @ theta)
-        ref = np.eye(4) + trig_s(q) * a + trig_h(q) * (a @ a)
-        assert np.abs(lorentz_matrix(np.zeros(3), theta) - ref).max() < 8 * eps
-        u0 = math.sqrt(1.0 + u @ u)
-        ref = np.eye(4)
-        ref[0, 0] = u0
-        ref[0, 1:] = ref[1:, 0] = -u
-        ref[1:, 1:] += np.outer(u, u) / (1.0 + u0)
-        assert np.abs(lorentz_matrix(u, np.zeros(3)) - ref).max() < 8 * eps * u0
 
 
 def test_decompose_identity_and_pure_boost():
@@ -427,13 +406,3 @@ def test_matrix_arguments_must_hold_numbers(fn, error, n, kind):
     name = "kmat" if n == 15 else "M"
     with pytest.raises(error, match=rf"^{name} must be a float array of shape \({n}, {n}\)$"):
         fn(M)
-
-
-def test_det3_of_general_matrices():
-    # general 3x3 matrices, not only rotations, so that every 2x2 minor counts
-    rng = np.random.default_rng(9)
-    for scale in (1e-3, 1.0, 1e3):
-        for _ in range(200):
-            m = rng.normal(size=(3, 3)) * scale
-            ref = np.linalg.det(m)
-            assert abs(_det3(m.ravel().tolist()) - ref) <= 1e-13 * max(1.0, np.abs(m).max() ** 3)

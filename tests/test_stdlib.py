@@ -170,6 +170,22 @@ def element(k: int):
     return _from_vector(_floats(ELEMENTS[k]))
 
 
+# The libm map of the pins, read with math.sin, math.sinh, math.asinh and
+# math.atan2 made to raise.  A pin with none runs on arithmetic, sqrt
+# (correctly rounded) and the series window of trig_s and trig_h alone, so it
+# holds on any libm; the others may move with a libm's last bits.
+#
+#   pin                                              libm functions
+#   FloatCorePins compose, k = 0 / k = 1..4          atan2 sin sinh / and asinh
+#   FloatCorePins inverse and oplus, k = 0..3 / 4    sin sinh / sin
+#   FloatCorePins theta_closed, k = 0..4             none
+#   FloatCorePins xl_decompose, narrow / wide        asinh atan2 sinh / asinh atan2
+#   COMMANDS invert e.json, oplus e.json (twice)     sin sinh
+#   COMMANDS compose e.json e.json, theta e.json     asinh atan2 sin sinh
+#   COMMANDS decompose --matrix m.json               atan2
+#   COMMANDS oplus overflow.json                     sinh
+#   COMMANDS decompose --matrix outside.json         asinh sinh
+#   the other 17 COMMANDS                            none
 class FloatCorePins(unittest.TestCase):
 
     def test_compose_and_inverse(self):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from xpoincare.algebra import STRUCTURE_CONSTANTS, casimir_lambda, casimir_mu, exp_ad
-from xpoincare.checks import sample_omega, sample_params, suite_group_axioms
+from xpoincare.checks import sample_params, suite_group_axioms
 from xpoincare.lorentz import DecompositionError, lorentz_decompose, lorentz_matrix, trig_h, trig_s
 from xpoincare.poincare import GroupParams, compose, inverse, oplus
 from xpoincare.xlorentz import (BFORM, XLParams, _dirac_coefficients, _xl_entries, b_residual,
@@ -153,41 +153,6 @@ def _mp_factor(mp, name, x):
         c, s = (mp.cosh(r), mp.sinh(r) / r) if q > 0 else (mp.cos(r), mp.sin(r) / r)
         h = (c - 1) / q
     return mp.eye(g.rows) + s * g + h * g * g
-
-
-@pytest.mark.parametrize("name,kind", [
-    ("W", "trig"), ("W", "hyperbolic"), ("W", "null"), ("W", "near-pi"),
-    ("R", "rotation"), ("L", "boost")])
-def test_factor_matrices_match_mpmath(name, kind):
-    # Bound 16 eps max(1, max|ref|): every entry is at most 1 plus a coefficient
-    # (s or h, each within 4 eps times its condition number of the truth, see
-    # test_trig_coefficients_match_mpmath) times at most two parameters, so
-    # about four roundings on the scale of the matrix.  Near r = pi the
-    # relative condition of s is large but its absolute error stays about
-    # eps, and s multiplies entries far below max|W|.  Worst seen: 6 eps.
-    mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(26)
-    build = {"W": lambda x: xl_matrix(XLParams(omega=x)),
-             "R": lambda x: lorentz_matrix(np.zeros(3), x),
-             "L": lambda x: lorentz_matrix(x, np.zeros(3))}[name]
-    for i in range(40):
-        if kind == "near-pi":
-            x = trig_direction(rng) * (math.pi - (0.0, 1e-12, 1e-6, 1e-3)[i % 4])
-        elif kind == "rotation":
-            x = rng.normal(size=3)
-            x *= (math.pi if i == 0 else rng.uniform(0.0, math.pi)) / np.linalg.norm(x)
-        elif kind == "boost":
-            x = rng.normal(size=3) * 10.0 ** rng.uniform(-3.0, 3.0)
-        else:
-            x = sample_omega(rng, kind)
-        got = build(x)
-        with mp.workdps(40):
-            ref = _mp_factor(mp, name, x)
-            n = got.shape[0]
-            scale = max(1, max(abs(ref[j, k]) for j in range(n) for k in range(n)))
-            err = max(abs(mp.mpf(float(got[j, k])) - ref[j, k])
-                      for j in range(n) for k in range(n))
-            assert err <= 16 * EPS * scale, (x, float(err / scale / EPS))
 
 
 def test_dirac_generator_structure():
@@ -646,20 +611,10 @@ def test_oplus_matches_minor_tables_bit_for_bit():
 
 
 def _mp_element(mp, g):
-    """D = W diag(L R, 1) and t = (a, alpha) at the working precision of mp,
-    from the exact values of the float64 parameters of g; also max|W| max|L R|."""
-    lam = _mp_factor(mp, "L", g.xl.u) * _mp_factor(mp, "R", g.xl.theta)
-    w = _mp_factor(mp, "W", g.xl.omega)
+    """D = W diag(L R, 1) of g at the working precision of mp."""
     e = mp.eye(5)
-    e[:4, :4] = lam
-    size = max(abs(x) for x in w) * max(abs(x) for x in lam)
-    return w * e, mp.matrix([mp.mpf(float(x)) for x in (*g.a, g.alpha)]), size
-
-
-def _mp_err(mp, got, ref):
-    got = np.asarray(got, dtype=float).reshape(ref.rows, ref.cols)
-    return max(abs(mp.mpf(float(got[j, k])) - ref[j, k])
-               for j in range(ref.rows) for k in range(ref.cols))
+    e[:4, :4] = _mp_factor(mp, "L", g.xl.u) * _mp_factor(mp, "R", g.xl.theta)
+    return _mp_factor(mp, "W", g.xl.omega) * e
 
 
 @pytest.mark.parametrize("r", [10.0, 20.0])
@@ -673,7 +628,7 @@ def test_oplus_adjoint_error_is_eps_d_squared(r):
     g = GroupParams(xl=XLParams([0.0, r, 0.0, 0.0]))
     got = oplus(g)[:10, :10]
     with mp.workdps(40):
-        d, _, _ = _mp_element(mp, g)
+        d = _mp_element(mp, g)
         b = mp.diag([1, -1, -1, -1, 1])
         gens = [mp.matrix(G.tolist()) for G in _G5]
         conj = [b * d.T * b * G * d for G in gens]
@@ -698,36 +653,6 @@ def test_oplus_preserves_both_casimir_forms():
         worst = max(worst, np.abs(o @ k_lambda @ o.T - k_lambda).max() / size,
                     np.abs(o.T @ k_mu @ o - k_mu).max() / size)
     assert worst <= CLOSED_FORM_K, worst
-
-
-def _mp_draws(kind):
-    rng = np.random.default_rng(27)
-    if kind == "pinned":
-        return list(_pinned_draws(rng, 4))
-    return [sample_params(rng, kind == "wide") for _ in range(30)]
-
-
-@pytest.mark.parametrize("kind", ["narrow", "wide", "pinned"])
-def test_xl_matrix_and_inverse_match_mpmath(kind):
-    # 40-digit references from the same float64 parameters: D = W diag(L R, 1)
-    # against xl_matrix, and B D^T B and -D^T t against inverse.  Bounds in
-    # eps: xl_matrix against max(1, max|W| max|L R|), the size of its
-    # factors; inverse against the element scale above.
-    # Worst seen: 5.3 eps for xl_matrix and 7.0 eps for inverse; k = 32.
-    mp = pytest.importorskip("mpmath")
-    b = mp.diag([1, -1, -1, -1, 1])
-    worst_d = worst_inv = 0.0
-    for g in _mp_draws(kind):
-        gi = inverse(g)
-        with mp.workdps(40):
-            d, t, size = _mp_element(mp, g)
-            err = _mp_err(mp, xl_matrix(g.xl), d)
-            worst_d = max(worst_d, float(err / max(1, size)) / EPS)
-            err = max(_mp_err(mp, xl_matrix(gi.xl), b * d.T * b),
-                      _mp_err(mp, [*gi.a, gi.alpha], -(d.T * t)))
-            scale = max(1, max(abs(x) for x in d) ** 2 * max(1, max(abs(x) for x in t)))
-            worst_inv = max(worst_inv, float(err / scale) / EPS)
-    assert worst_d <= CLOSED_FORM_K and worst_inv <= CLOSED_FORM_K
 
 
 # --- xl_decompose over canonical narrow parameters, searched by hypothesis -----
