@@ -8,11 +8,33 @@ byte-identical report.
 The jacobi and casimir suites run on the integer layer and load no numpy;
 the samplers and the four sampled suites import it inside.
 
-Sampling ranges: single-element properties draw |omega| up to 2.5 across all
-branches, |u| <= 2, |theta| <= pi.  Properties that compose elements draw
-from a smaller ball (|omega| <= 0.5 euclidean, |u| <= 0.6) so that products
-stay inside the W L R-factorizable set; leaving it is a correct rejection,
-not an error, and is exercised separately by the unit tests.
+The acceptance gates (`CRITERIA` of tests/test_acceptance.py) read these
+properties at seed 42 and 1000 trials, so the samplers below are the full
+input ranges of the gates.  A ball is drawn uniformly in volume, a
+direction uniformly on the sphere, and |theta| uniformly on its interval.
+
+- `sample_omega`, by branch: trig omega = r n with n0 = +-sqrt(1 + |v|^2),
+  v ~ N(0, 1)^3, r in [0.01, 2.5]; hyperbolic omega = r (t, sqrt(1 + t^2) e),
+  t ~ N(0, 1), e a direction, r in [0.01, 2.0]; near-null omega =
+  r (|v| (1 + eps), v), v ~ N(0, 1)^3, eps in {0, +-1e-9, +-1e-12}, r in
+  [0.1, 2.0].
+- `sample_xl(wide=True)`: omega from `sample_omega` on a branch drawn
+  uniformly, u in the ball |u| <= 2, |theta| <= pi.
+- `sample_xl(wide=False)`, for the properties that compose elements: omega
+  in the euclidean ball |omega| <= 0.5, u in the ball |u| <= 0.6, |theta|
+  <= 3.0, so that products stay inside the W L R-factorizable set; leaving
+  it is a correct rejection, not an error, and is exercised separately by
+  the unit tests.
+- `sample_params`: alpha and each a^m from N(0, 4) (standard deviation 2),
+  narrow by default, wide for `pure-factors-match-exp-ad`.
+- Drawn in place: the round trips put every tenth xl draw at a trig branch
+  point (r = pi - {0, 1e-9, 1e-6}, |theta| = pi - {0, 1e-7, 1e-4}) and
+  draw Lorentz u in the ball |u| <= 3 with every tenth |theta| = pi -
+  {0, 1e-9, 1e-5}; metric-preservation draws u in the ball |u| <= 3 and
+  bform-preservation omega and u in balls of radius 1.2; the Lorentz
+  embedding draws u in the ball |u| <= 2, one-parameter-subgroup
+  coefficients from N(0, 0.36) at t in [-1.5, 1.5], and exp-ad-unimodular
+  reads the grid of 15 generators by 9 values of tau in [-2, 2].
 """
 
 from __future__ import annotations

@@ -141,14 +141,6 @@ def test_compose_closed_equals_affine_oracle_wide():
     assert 0 < rejected < 1000
 
 
-def test_compose_associativity():
-    rng = np.random.default_rng(24)
-    for _ in range(100):
-        g3, g2, g1 = sample(rng), sample(rng), sample(rng)
-        assert aff_dist(compose(compose(g3, g2), g1),
-                        compose(g3, compose(g2, g1))) < 1e-8
-
-
 def test_compose_propagates_factorization_failure():
     # the product of a branch-point trig boost and a large hyperbolic one
     # leaves the canonical chart; compose must reject, not approximate
@@ -168,16 +160,6 @@ def test_inverse_pure_cases():
     gi = inverse(GroupParams(xl=XLParams(theta=theta)))
     assert np.allclose(gi.xl.theta, -theta, atol=1e-15)
     assert gi.alpha == 0 and np.allclose(gi.a, 0)
-
-
-def test_inverse_two_sided():
-    rng = np.random.default_rng(25)
-    e = GroupParams.identity()
-    for _ in range(100):
-        g = sample(rng)
-        gi = inverse(g)
-        assert aff_dist(compose(gi, g), e) < 1e-8
-        assert aff_dist(compose(g, gi), e) < 1e-8
 
 
 def test_seeded_draws_are_the_pinned_elements():
@@ -254,14 +236,6 @@ def test_oplus_is_translation_factor_times_xl_block():
         assert np.abs(oplus(g) - ref).max() < 8 * np.finfo(float).eps * np.abs(ref).max()
 
 
-def test_oplus_homomorphism():
-    rng = np.random.default_rng(28)
-    for _ in range(60):
-        g2, g1 = sample(rng), sample(rng)
-        r = np.abs(oplus(compose(g2, g1)) - oplus(g2) @ oplus(g1)).max()
-        assert r < 1e-8
-
-
 def test_oplus_xl_block_is_mat5():
     rng = np.random.default_rng(29)
     for _ in range(20):
@@ -300,15 +274,6 @@ def test_theta_rotation_row_entry():
     g = GroupParams(a=np.array([0.0, 0.0, 4.0, 0.0]))
     assert theta_numeric(g)[0, 13] == pytest.approx(-4.0, abs=1e-6)
     assert theta_closed(g)[0, 13] == -4.0
-
-
-def test_theta_closed_matches_numeric():
-    rng = np.random.default_rng(31)
-    mask = theta_claimed_mask()
-    for _ in range(15):
-        g = sample(rng)
-        err = np.abs((theta_closed(g) - theta_numeric(g))[mask]).max()
-        assert err < 1e-6
 
 
 def test_theta_unlisted_translation_entries_vanish():

@@ -103,16 +103,6 @@ def test_dirac_boost_trig_entries():
     assert np.abs(W - exp_ad_block([1.0, 0.0, 0.0, 0.0])).max() < 1e-12
 
 
-def test_dirac_boost_matches_exp_ad_all_branches():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for kind in ("trig", "hyperbolic", "null") * 100:
-        omega = rand_omega(rng, kind)
-        worst = max(worst, np.abs(
-            xl_matrix(XLParams(omega=omega)) - exp_ad_block(omega)).max())
-    assert worst < 1e-10
-
-
 def test_dirac_boost_matches_generator_form():
     # reference: W = 1 + s g + h g^2 over the generator matrix
     eps = np.finfo(float).eps
