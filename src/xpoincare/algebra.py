@@ -27,6 +27,7 @@ serialization run on those entries.
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 from enum import IntEnum
 
@@ -147,10 +148,16 @@ def jacobi_check(table: StructureConstants | None = None) -> JacobiReport:
     return JacobiReport(worst, violations)
 
 
+@functools.cache
+def _float_table() -> np.ndarray:
+    """STRUCTURE_CONSTANTS.dense as float64, made once, on first use."""
+    return STRUCTURE_CONSTANTS.dense.astype(float)
+
+
 def adjoint_of(x) -> np.ndarray:
     """Sum_a x_a F_a for a coefficient 15-vector x, (F_a)[r, s] = f_ar^s."""
     import numpy as np
-    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), STRUCTURE_CONSTANTS.dense)
+    return np.einsum("a,ars->rs", np.asarray(x, dtype=float), _float_table())
 
 
 def exp_ad(x, t: float = 1.0) -> np.ndarray:

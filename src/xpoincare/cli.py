@@ -211,14 +211,17 @@ def cmd_dump_algebra(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _int_at_least(minimum: int):
+    """The argparse type of an int of at least `minimum`."""
+    def read(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    return read
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,8 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("--suite", default="all", choices=list(SUITE_NAMES) + ["all"])
-    p.add_argument("--trials", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--constants",
                    help="JSON structure-constant table replacing the builtin "
                         "(jacobi/casimir suites)")

@@ -223,6 +223,12 @@ def test_ad_matrix_p0_pattern():
     for j in range(3):
         mask[G.K1 + j, G.P1 + j] = True
     assert np.abs(F[~mask]).max() == 0
+    # adjoint_of reads a float64 copy of the table: the bytes of the
+    # einsum on the int64 table, at scales 1e-5 to 1e5
+    rng = np.random.default_rng(16)
+    for x in rng.normal(size=(500, 15)) * 10.0 ** rng.integers(-5, 6, size=(500, 1)):
+        want = np.einsum("a,ars->rs", x, STRUCTURE_CONSTANTS.dense)
+        assert adjoint_of(x).tobytes() == want.tobytes()
 
 
 def test_ad_matrix_gs_couples_gam_rows_to_p():

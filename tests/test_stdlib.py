@@ -182,10 +182,14 @@ def element(k: int):
 #   FloatCorePins xl_decompose, narrow / wide        asinh atan2 sinh / asinh atan2
 #   COMMANDS invert e.json, oplus e.json (twice)     sin sinh
 #   COMMANDS compose e.json e.json, theta e.json     asinh atan2 sin sinh
-#   COMMANDS decompose --matrix m.json               atan2
-#   COMMANDS oplus overflow.json                     sinh
+#   COMMANDS decompose --matrix m.json, compose      atan2
+#            e2.json e1.json and z.json z.json
+#   COMMANDS decompose --matrix w.json               atan2 sin
+#   COMMANDS oplus overflow.json, the five rows of   sinh
+#            omega1000.json and omega800.json, and
+#            compose omega460.json omega460.json
 #   COMMANDS decompose --matrix outside.json         asinh sinh
-#   the other 17 COMMANDS                            none
+#   the other 60 COMMANDS                            none
 class FloatCorePins(unittest.TestCase):
 
     def test_compose_and_inverse(self):
@@ -210,9 +214,21 @@ class FloatCorePins(unittest.TestCase):
 # Tier-1 suite runs this module in an interpreter where any numpy import
 # fails (tests/test_algebra.py), and the numpy-absent job of
 # .github/workflows/tests.yml runs it where numpy is not installed.  FILES
-# are the input files, error files included: m2.json fails the B-form gate
-# of decompose, and outside.json, an extended-Lorentz matrix beyond the
-# reach of W L R, its block gate
+# are the input files, error files included, as text or, for a file that is
+# not UTF-8, as bytes: m2.json fails the B-form gate of decompose, and
+# outside.json, an extended-Lorentz matrix beyond the reach of W L R, its
+# block gate
+
+_BIG = "1" + "0" * 399  # a 400-digit JSON integer, beyond the float range
+
+
+def _eye5(entry: str) -> str:
+    """The JSON rows of the 5x5 identity, with entry (2, 3) written as `entry`."""
+    rows = [["1" if i == j else "0" for j in range(5)] for i in range(5)]
+    rows[2][3] = entry
+    return "[%s]" % ", ".join("[%s]" % ", ".join(r) for r in rows)
+
+
 FILES = {
     "e.json": ('{"alpha": 0.5, "a": [1, -2, 0.3, 4], "omega": [0.3, 0.1, -0.4, 0.2], '
                '"u": [0.4, -0.3, 0.2], "theta": [0.5, 0.6, -0.7]}'),
@@ -222,10 +238,8 @@ FILES = {
     "infinities.json": '{"a": [Infinity, -Infinity, 0.0, 0.0]}',
     "str.json": '{"alpha": "1"}',
     "dict.json": '{"a": {"0": 1}}',
-    "mstr.json": ('{"matrix": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, "1", 0], '
-                  '[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]}'),
-    "m.json": ('{"matrix": [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], '
-               '[0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]}'),
+    "mstr.json": '{"matrix": %s}' % _eye5('"1"'),
+    "m.json": '{"matrix": %s}' % _eye5("0"),
     "m2.json": ('{"matrix": [[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0], '
                 '[0, 0, 0, 2, 0], [0, 0, 0, 0, 2]]}'),
     "outside.json": ('{"matrix": [[-4.380000000000002, 9.259772730131644, 0.9840731680114039, '
@@ -237,11 +251,78 @@ FILES = {
                      '2.044108276891026], [9.292174685833805e-16, 2.1292794550948155, '
                      '-1.6996616692943942e-16, 2.266215559059192e-16, -2.3524096152432463]]}'),
     "deep.json": "[" * 100000 + "]" * 100000,
+    # element documents with one field malformed, or not JSON
+    "alpha-big.json": '{"alpha": %s}' % _BIG,
+    "a-big.json": '{"a": [%s, 0, 0, 0]}' % _BIG,
+    "u-big.json": '{"u": [0, -%s, 0]}' % _BIG,
+    "alpha-true.json": '{"alpha": true}',
+    "theta-false.json": '{"theta": [0, false, 0]}',
+    "omega-str.json": '{"omega": [0, 0, "1", 0]}',
+    "alpha-nan.json": '{"alpha": NaN}',
+    "a-inf.json": '{"a": [0, 0, Infinity, 0]}',
+    "omega-3.json": '{"omega": [0, 0, 0]}',
+    "theta-4.json": '{"theta": [0, 0, 0, 0]}',
+    "u-nested.json": '{"u": [[0], [0], [0]]}',
+    "a-2.json": '{"a": [1, 2]}',
+    "bad.json": "{not json",
+    # matrix documents, the matrix malformed, an unknown field, not UTF-8
+    "m-big.json": '{"matrix": %s}' % _eye5(_BIG),
+    "m-true.json": '{"matrix": %s}' % _eye5("true"),
+    "m-nan.json": '{"matrix": %s}' % _eye5("NaN"),
+    "m-neg-inf.json": '{"matrix": %s}' % _eye5("-Infinity"),
+    "m-nested.json": '{"matrix": %s}' % _eye5("[1]"),
+    "m-null.json": '{"matrix": %s}' % _eye5("null"),
+    "m-2x2.json": '{"matrix": [[1, 0], [0, 1]]}',
+    "m-ragged.json": '{"matrix": [%s, [1, 1, 1, 1]]}' % ", ".join(["[1, 1, 1, 1, 1]"] * 4),
+    "m-flat.json": '{"matrix": [1, 2, 3, 4, 5]}',
+    "m-empty.json": '{"matrix": []}',
+    "m-eye.json": '{"matrix": "eye"}',
+    "m-omega.json": '{"matrix": %s, "omega": [1, 2, 3, 4]}' % _eye5("0"),
+    "m-latin1.json": b'{"matrix": "\xff"}',
+    # elements whose factors or product overflow float64
+    "omega1000.json": '{"omega": [0, 1000, 0, 0]}',
+    "omega800.json": '{"omega": [0, 800, 0, 0]}',
+    "u1e155.json": '{"u": [1e155, 0, 0]}',
+    "omega460.json": '{"omega": [0, 460, 0, 0]}',
+    # structure-constant tables that are not tables
+    "c-no-entries.json": '{"order": []}',
+    "c-list.json": "[]",
+    "c-entry-1.json": '{"entries": [1]}',
+    # success inputs: neg.json is sample_params(default_rng(35)) with alpha
+    # made negative, which prints signed zeros, and w.json is W(0.3, 0.2, 0, 0.1)
+    "z.json": "{}",
+    "e2.json": '{"a": [1, 0, 0, 0], "alpha": 2.0}',
+    "e1.json": '{"a": [0, 1, 0, 0], "alpha": -0.5}',
+    "a5.json": '{"a": [0, 0, 5, 0]}',
+    "neg.json": ('{"alpha": -2.2763553296667767, "a": [1.5424387242306865, 2.300176001011506, '
+                 '1.4709884282170338, 2.8959295085646093], "omega": [0.0010446074842034574, '
+                 '-0.44928941370716524, -0.018118062512078256, 0.1523753991308871], '
+                 '"u": [-0.01212389023407763, -0.04156675549759525, 0.04227483477212253], '
+                 '"theta": [0.7044761647746255, -0.9647646955578938, -1.2464242004240793]}'),
+    "w.json": ('{"matrix": [[0.9551498001427937, 0.029900133238137547, 0.0, '
+               '0.014950066619068773, -0.29800399619259177], [-0.029900133238137547, '
+               '1.0199334221587584, 0.0, 0.009966711079379183, -0.19866933079506122], '
+               '[-0.0, 0.0, 1.0, 0.0, -0.0], [-0.014950066619068773, 0.009966711079379183, '
+               '0.0, 1.0049833555396896, -0.09933466539753061], [0.29800399619259177, '
+               '-0.19866933079506122, -0.0, -0.09933466539753061, 0.9800665778412416]]}'),
+}
+
+# Tables made from t.json, the output of `dump-algebra`, by an edit of its
+# entry 0, (J1, J2, J3, 1)
+TABLE_EDITS = {
+    "c-flipped.json": {"f": -1},
+    "c-j9.json": {"a": "J9"},
+    "c-c-list.json": {"c": ["J1"]},
+    "c-f-true.json": {"f": True},
+    "c-f-float.json": {"f": 1.0},
+    "c-f-2.json": {"f": 2},
+    "c-diagonal.json": {"b": "J1"},
 }
 
 # The numpy-free commands: exit code, arguments, and the sha256 of
-# json.dumps([exit code, stdout, stderr]); t.json and tfull.json are the
-# output of `dump-algebra` and `dump-algebra --full`
+# json.dumps([exit code, stdout, stderr]), which pins an error line byte for
+# byte; t.json and tfull.json are the output of `dump-algebra` and
+# `dump-algebra --full`, and the tables of TABLE_EDITS edits of t.json
 COMMANDS = [
     (0, "invert e.json",
      "6f45d9b04e502a3c61f2f2b6782e6c5ffe21371e46ed530a1c8570b63842da4a"),
@@ -293,6 +374,116 @@ COMMANDS = [
      "2048df42cc49f974fc1dc5a9a679056e844205cb2adcf068f30800f727625ed9"),
     (2, "decompose --matrix deep.json",
      "2048df42cc49f974fc1dc5a9a679056e844205cb2adcf068f30800f727625ed9"),
+    # one malformed field of an element document: an error naming the field
+    (2, "invert alpha-big.json",
+     "3eef0be424fc280fe438405b92c3309f4547f2f0872d3763f8b07f13cf7e0d90"),
+    (2, "invert a-big.json",
+     "2df4c4dedb50b9477bb3f0fe9e1198a20999ed6f405a314fe2de3bcb5d119094"),
+    (2, "invert u-big.json",
+     "95eaee0a01ad374dab686a908f9e8de38376e69e93d4297a8d28c1b7442eb50a"),
+    (2, "invert alpha-true.json",
+     "27207f96dc59acae69a14e1998c5f75f4e27c891b93727b1f23d046f43244633"),
+    (2, "invert theta-false.json",
+     "66d3e8ec28f96855ae0c22153f874b0dab454eeabf7a8e39c227f7e7bf04c622"),
+    (2, "invert omega-str.json",
+     "83916222c2da3fc749d34da6552c2fc6e34ad6a612474f1f66f206c7d1635ae6"),
+    (2, "invert alpha-nan.json",
+     "3eef0be424fc280fe438405b92c3309f4547f2f0872d3763f8b07f13cf7e0d90"),
+    (2, "invert a-inf.json",
+     "2df4c4dedb50b9477bb3f0fe9e1198a20999ed6f405a314fe2de3bcb5d119094"),
+    (2, "invert omega-3.json",
+     "9eb93dbdce36834e0df4744e39e254702363cac93aa6a8e4ed96cdfb4b4d022d"),
+    (2, "invert theta-4.json",
+     "eadc08fbc965b40d5a574446a10ced37f68058e308e99f13a32f655f3d16ce9f"),
+    (2, "invert u-nested.json",
+     "56408d3033aa169ec1ded24f24743702e5470e2466d9260a70907b85567b939a"),
+    # a malformed matrix document: an error naming the matrix, the field or the file
+    (2, "decompose --matrix m-big.json",
+     "7c44fa54ea1d8091e545b23c1e9986e8135e409c7b8176fc63501e2e392d81e1"),
+    (2, "decompose --matrix m-true.json",
+     "e154c5832e71a101fdeaaf2eaa10c4951f2b9b2da879eeb9e221dcd7de789bf3"),
+    (2, "decompose --matrix m-nan.json",
+     "7c44fa54ea1d8091e545b23c1e9986e8135e409c7b8176fc63501e2e392d81e1"),
+    (2, "decompose --matrix m-neg-inf.json",
+     "7c44fa54ea1d8091e545b23c1e9986e8135e409c7b8176fc63501e2e392d81e1"),
+    (2, "decompose --matrix m-nested.json",
+     "e154c5832e71a101fdeaaf2eaa10c4951f2b9b2da879eeb9e221dcd7de789bf3"),
+    (2, "decompose --matrix m-null.json",
+     "e154c5832e71a101fdeaaf2eaa10c4951f2b9b2da879eeb9e221dcd7de789bf3"),
+    (2, "decompose --matrix m-2x2.json",
+     "46de087abdc1016348c1578a82ab387adba9319c1e0f0f622b7b0de067006d8c"),
+    (2, "decompose --matrix m-ragged.json",
+     "e154c5832e71a101fdeaaf2eaa10c4951f2b9b2da879eeb9e221dcd7de789bf3"),
+    (2, "decompose --matrix m-flat.json",
+     "d490ecbe0400444716e4a6a177ec9e36e600a4886bd463d610852cd4a631beaa"),
+    (2, "decompose --matrix m-empty.json",
+     "286b756436106a9f7963ecf380d18305407546a17b68d9b56fabe60306c6e521"),
+    (2, "decompose --matrix m-eye.json",
+     "e154c5832e71a101fdeaaf2eaa10c4951f2b9b2da879eeb9e221dcd7de789bf3"),
+    (2, "decompose --matrix m-omega.json",
+     "8384311d0d67dec8a03cbed218ac3306414de5edfacb8db72208c60f9094bbcb"),
+    (2, "decompose --matrix m-latin1.json",
+     "a355874c7e9d870fe18ba88f5e67778801d2caf31fb08307453a581be49fd3e0"),
+    # a document that is not JSON, and a field of the wrong length
+    (2, "invert bad.json",
+     "a9f82d898412b1028c18b2f83e51b510a5cdd297a2afa7272a4d2f84c6a4619d"),
+    (2, "invert a-2.json",
+     "b3d8f5479c4e2f65b2fd3ad3395f8db523f29ad1a91f6edceea49d80a360a0d4"),
+    # factors that overflow float64 (exit 2) and a product that does (exit 3)
+    (2, "oplus omega1000.json",
+     "3506abe27bc9aca6692b6d3b8facc624b5819e164942e5e99845c3c97c9c8b6e"),
+    (2, "invert omega1000.json",
+     "3506abe27bc9aca6692b6d3b8facc624b5819e164942e5e99845c3c97c9c8b6e"),
+    (2, "invert omega800.json",
+     "b0e29426e01fa905794dbf52eb4c7ab77684f50f6ff9e663f324032d38af6575"),
+    (2, "oplus omega800.json",
+     "b0e29426e01fa905794dbf52eb4c7ab77684f50f6ff9e663f324032d38af6575"),
+    (2, "compose omega800.json omega800.json",
+     "b0e29426e01fa905794dbf52eb4c7ab77684f50f6ff9e663f324032d38af6575"),
+    (2, "invert u1e155.json",
+     "df394b5d148c5093ab2c56573b2fa304191f2579c4e17c96da43aac402ee3a1b"),
+    (2, "oplus u1e155.json",
+     "df394b5d148c5093ab2c56573b2fa304191f2579c4e17c96da43aac402ee3a1b"),
+    (2, "compose u1e155.json u1e155.json",
+     "df394b5d148c5093ab2c56573b2fa304191f2579c4e17c96da43aac402ee3a1b"),
+    (3, "compose omega460.json omega460.json",
+     "df92cd6a892fc9546d2e2bd2952cdf93af5778da539f4eb3d2571bc1425fb4cf"),
+    # a table that fails Jacobi (exit 4, with its counterexample), and malformed tables
+    (4, "check --suite jacobi --constants c-flipped.json",
+     "915dcacc7adec596fa984ef04ccd4661aeb841d73301a84053f9a9e40d61fbb6"),
+    (2, "check --suite jacobi --constants c-no-entries.json",
+     "bb18a48c8948f4881e41a567b51cd52481061a6c1b75fe4704e62f5be4be97a1"),
+    (2, "check --suite jacobi --constants c-list.json",
+     "bb18a48c8948f4881e41a567b51cd52481061a6c1b75fe4704e62f5be4be97a1"),
+    (2, "check --suite jacobi --constants c-entry-1.json",
+     "bce808cdcbfd21c137270c48198a04886654f67b0147c2514e2954b64627814d"),
+    (2, "check --suite jacobi --constants c-j9.json",
+     "cb0661511aef5f071bbe4a49bf43a543acd7983252f50aab8f90719f282ae9b1"),
+    (2, "check --suite jacobi --constants c-c-list.json",
+     "9c8c1b313fc8f007978d0d432e77e41a8feb8e408192445c8bcf55390c4cfc29"),
+    (2, "check --suite jacobi --constants c-f-true.json",
+     "67f488ea95c827b1cb844b91bad4970ce1c5811a8011ec7897199e66e55b5ee4"),
+    (2, "check --suite jacobi --constants c-f-float.json",
+     "6a4491a066e5b5c3f531407e50ffcf5d4ae1ec266e06efd6e828b7dd5f9bdf36"),
+    (2, "check --suite jacobi --constants c-f-2.json",
+     "b027008bc85f0f762a4415ab417a5dbfbfa2a8169c45d5605ebfb236ca2f70af"),
+    (2, "check --suite jacobi --constants c-diagonal.json",
+     "8c83ef19a833d5ce7d088ef02b8af615982291cb3775734c957b665f0c81f55e"),
+    # success: compose, the identity, labels, signed zeros of a negative alpha, a W
+    (0, "compose e2.json e1.json",
+     "abdb9e8e60f2f6f70d7f2943ff35c92f51bbad03d47728a6d11b087cd921253e"),
+    (0, "compose z.json z.json",
+     "d3b28000eacf371a8901bedac967cdc25a42257213ee205dc041a9f3ab9f10f9"),
+    (0, "oplus z.json",
+     "5d9b1a0b8fda5b5f84225459c808dbab63c83176b9ad75dc673b940a398b177a"),
+    (0, "oplus a5.json --labels",
+     "5884d77dbdd69e89ce616c3f475288e1b8a607a562d4e18cbb92bad44600f3ab"),
+    (0, "theta neg.json --closed --csv --labels",
+     "ce96be27679279b209bf8ff4c5d5ccd733bf7114a761de92e82c78a4bc647462"),
+    (0, "decompose --matrix w.json",
+     "8449663736b9c580fface3063bccb239634b0341d137a41689fa74dcf22aca2f"),
+    (0, "dump-algebra --format csv",
+     "ef4ace6f13bdf81dcd1b9160e6d34c63e5494609b6da5dd11d34efe6ffe3a920"),
 ]
 
 
@@ -304,19 +495,21 @@ def _run(argv: list) -> tuple:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def _matrix_text(entries) -> str:
-    """The JSON document of the 15x15 matrix with `entries`, row by row; NaN,
-    an entry without a claim, is null."""
+def _matrix_doc(entries, labels: bool = False) -> dict:
+    """The document of the 15x15 matrix with `entries`, row by row; NaN, an
+    entry without a claim, is None."""
     rows = [[None if math.isnan(x) else x for x in entries[i:i + 15]]
             for i in range(0, 225, 15)]
-    return cli.canonical_json({"matrix": rows}) + "\n"
+    return {"labels": list(_names.GENERATOR_NAMES), "matrix": rows} if labels \
+        else {"matrix": rows}
 
 
 def _csv_text(entries) -> str:
-    """The labelled CSV of a matrix with finite entries; + 0.0 turns -0.0 into 0."""
+    """The labelled CSV of a matrix: NaN, an entry without a claim, is an
+    empty cell, and + 0.0 turns -0.0 into 0."""
     lines = ["," + ",".join(_names.GENERATOR_NAMES)]
     for i, name in enumerate(_names.GENERATOR_NAMES):
-        lines.append(name + "," + ",".join(format(x + 0.0, ".17g")
+        lines.append(name + "," + ",".join("" if math.isnan(x) else format(x + 0.0, ".17g")
                                            for x in entries[15 * i:15 * i + 15]))
     return "\n".join(lines) + "\n"
 
@@ -330,12 +523,15 @@ class CommandLinePins(unittest.TestCase):
         with tempfile.TemporaryDirectory() as tmp:
             os.chdir(tmp)  # the error messages name the files as given
             try:
-                for name, text in FILES.items():
-                    with open(name, "w", encoding="utf-8") as fh:
-                        fh.write(text)
-                for name, argv in (("t.json", []), ("tfull.json", ["--full"])):
-                    with open(name, "w", encoding="utf-8") as fh:
-                        fh.write(_run(["dump-algebra", *argv])[1])
+                table = _run(["dump-algebra"])[1]
+                tables = {"t.json": table, "tfull.json": _run(["dump-algebra", "--full"])[1]}
+                doc = json.loads(table)
+                first, *rest = doc["entries"]
+                for name, edit in TABLE_EDITS.items():
+                    tables[name] = json.dumps({**doc, "entries": [{**first, **edit}, *rest]})
+                for name, text in {**FILES, **tables}.items():
+                    with open(name, "wb") as fh:
+                        fh.write(text if isinstance(text, bytes) else text.encode())
                 cls.outputs = {args: _run(args.split()) for _, args, _ in COMMANDS}
             finally:
                 os.chdir(cwd)
@@ -347,20 +543,38 @@ class CommandLinePins(unittest.TestCase):
             self.assertEqual(_sha256(json.dumps(out)), digest, args)
 
     def test_element_commands_print_the_library_result(self):
-        g = cli.parse_element_obj(json.loads(FILES["e.json"]))
-        m = [float(x) for row in json.loads(FILES["m.json"])["matrix"] for x in row]
+        # a JSON row prints the library's document and reads back to it
+        # exactly, so its numbers are the library's floats
+        def element(name):
+            return cli.parse_element_obj(json.loads(FILES[name]))
 
-        def doc(h):
-            return cli.canonical_json(element_doc(h)) + "\n"
+        def decomposed(name):
+            m = [float(x) for row in json.loads(FILES[name])["matrix"] for x in row]
+            return element_doc(GroupParams(xl=_xl_decompose(m)))
 
-        for args, text in (("invert e.json", doc(inverse(g))),
-                           ("compose e.json e.json", doc(compose(g, g))),
-                           ("decompose --matrix m.json", doc(GroupParams(xl=_xl_decompose(m)))),
-                           ("theta e.json", _matrix_text(_theta_numeric(g))),
-                           ("theta e.json --closed", _matrix_text(_theta_closed_entries(g))),
-                           ("oplus e.json", _matrix_text(_oplus_entries(g))),
-                           ("oplus e.json --csv --labels", _csv_text(_oplus_entries(g)))):
-            self.assertEqual(self.outputs[args][1], text, args)
+        g, z = element("e.json"), element("z.json")
+        for args, doc in (
+                ("invert e.json", element_doc(inverse(g))),
+                ("invert huge.json", element_doc(inverse(element("huge.json")))),
+                ("compose e.json e.json", element_doc(compose(g, g))),
+                ("compose e2.json e1.json",
+                 element_doc(compose(element("e2.json"), element("e1.json")))),
+                ("compose z.json z.json", element_doc(compose(z, z))),
+                ("decompose --matrix m.json", decomposed("m.json")),
+                ("decompose --matrix w.json", decomposed("w.json")),
+                ("theta e.json", _matrix_doc(_theta_numeric(g))),
+                ("theta e.json --closed", _matrix_doc(_theta_closed_entries(g))),
+                ("oplus e.json", _matrix_doc(_oplus_entries(g))),
+                ("oplus z.json", _matrix_doc(_oplus_entries(z))),
+                ("oplus a5.json --labels", _matrix_doc(_oplus_entries(element("a5.json")), True))):
+            out = self.outputs[args][1]
+            self.assertEqual(out, cli.canonical_json(doc) + "\n", args)
+            self.assertEqual(json.loads(out), doc, args)
+        for args, entries in (
+                ("oplus e.json --csv --labels", _oplus_entries(g)),
+                ("theta neg.json --closed --csv --labels",
+                 _theta_closed_entries(element("neg.json")))):
+            self.assertEqual(self.outputs[args][1], _csv_text(entries), args)
 
 
 def _outcome(read, *args):
